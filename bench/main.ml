@@ -189,11 +189,12 @@ let balancer =
     (let graph = Seeded.striped ~seed:7 ~u:universe ~v:(8 * 1024) ~d:8 in
      Greedy.create ~graph ~k:1 ())
 
-(* Backend-indirection overhead guard: the same single-block read
-   through (a) a bare array, (b) the Pdm machine with its default
-   memory backend, (c) a machine with tracing enabled (scheduler
-   path). (b) minus (a) is the price of the backend refactor; it must
-   stay negligible next to any real structure operation. *)
+(* Machine overhead guard: the same single-block read through (a) a
+   bare array, (b) the Pdm machine with its default memory backend,
+   (c) the same machine with tracing enabled. (b) minus (a) is the
+   price of the round scheduler and backend indirection, and (c) minus
+   (b) the price of tracing; both must stay negligible next to any
+   real structure operation. *)
 let ov_blocks = 256
 
 (* pdm-lint: allow R1 — construction-time bulk preload of the benchmark machine, completed before any measured phase starts *)

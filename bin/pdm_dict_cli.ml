@@ -388,7 +388,8 @@ let run_trace faults_str ops seed ring out =
        machine mirrors the clean machine's backends so both see the
        same stored bytes; no block is moved here *)
     let machine =
-      Pdm.create ~trace:tr ?faults ~backends:(fun d -> Pdm.backend clean d)
+      Pdm.create ~trace:tr ?faults
+        ~factory:(fun ~blocks:_ ~slots:_ -> Some (Pdm.backend clean))
         ~disks ~block_size:block_words
         ~blocks_per_disk:(Basic.blocks_per_disk cfg) ()
     in

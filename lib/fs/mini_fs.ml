@@ -2,6 +2,7 @@ module Pdm = Pdm_sim.Pdm
 module Stats = Pdm_sim.Stats
 module Basic = Pdm_dictionary.Basic_dict
 module Fragmented = Pdm_dictionary.Fragmented
+module Store = Pdm_io.Store
 
 type config = {
   max_files : int;
@@ -57,44 +58,46 @@ let encode_meta ~inode ~length =
 let decode_meta b =
   (Int64.to_int (Bytes.get_int64_be b 0), Int64.to_int (Bytes.get_int64_be b 8))
 
+let names_plan cfg =
+  Basic.plan ~universe:name_universe ~capacity:cfg.max_files
+    ~block_words:cfg.block_words ~degree:cfg.disks_per_dict
+    ~value_bytes:meta_bytes ~seed:cfg.seed ()
+
+(* The block store carries whole file blocks — near the device's
+   bandwidth limit — so it uses the fragmented k = d/2 dictionary:
+   each payload is split across the d disks and still loads in one
+   parallel I/O (the paper's bandwidth machinery, built for exactly
+   this use). *)
+let blocks_plan cfg =
+  Fragmented.plan ~strategy:(`Average 2.5)
+    ~universe:(cfg.max_files * cfg.blocks_per_file)
+    ~capacity:cfg.max_blocks ~block_words:cfg.block_words
+    ~degree:cfg.disks_per_dict ~sigma_bits:(8 * cfg.payload_bytes)
+    ~seed:(cfg.seed + 1) ()
+
+(* [factory] = [None]: memory disks. *)
+let machine cfg factory ~blocks_per_disk =
+  Pdm.create ?factory ~disks:cfg.disks_per_dict ~block_size:cfg.block_words
+    ~blocks_per_disk ()
+
 let format cfg =
   if cfg.max_files < 1 || cfg.max_blocks < 1 || cfg.blocks_per_file < 1 then
     invalid_arg "Mini_fs.format: sizes";
-  let names_cfg =
-    Basic.plan ~universe:name_universe ~capacity:cfg.max_files
-      ~block_words:cfg.block_words ~degree:cfg.disks_per_dict
-      ~value_bytes:meta_bytes ~seed:cfg.seed ()
-  in
+  let names_cfg = names_plan cfg and blocks_cfg = blocks_plan cfg in
   let names_machine =
-    Pdm.create ~disks:cfg.disks_per_dict ~block_size:cfg.block_words
-      ~blocks_per_disk:(Basic.blocks_per_disk names_cfg) ()
-  in
-  let names =
-    Basic.create ~machine:names_machine ~disk_offset:0 ~block_offset:0
-      names_cfg
-  in
-  (* The block store carries whole file blocks — near the device's
-     bandwidth limit — so it uses the fragmented k = d/2 dictionary:
-     each payload is split across the d disks and still loads in one
-     parallel I/O (the paper's bandwidth machinery, built for exactly
-     this use). *)
-  let blocks_cfg =
-    Fragmented.plan ~strategy:(`Average 2.5)
-      ~universe:(cfg.max_files * cfg.blocks_per_file)
-      ~capacity:cfg.max_blocks ~block_words:cfg.block_words
-      ~degree:cfg.disks_per_dict ~sigma_bits:(8 * cfg.payload_bytes)
-      ~seed:(cfg.seed + 1) ()
+    machine cfg None ~blocks_per_disk:(Basic.blocks_per_disk names_cfg)
   in
   let blocks_machine =
-    Pdm.create ~disks:cfg.disks_per_dict ~block_size:cfg.block_words
-      ~blocks_per_disk:(Fragmented.blocks_per_disk blocks_cfg) ()
+    machine cfg None ~blocks_per_disk:(Fragmented.blocks_per_disk blocks_cfg)
   in
-  let blocks =
-    Fragmented.create ~machine:blocks_machine ~disk_offset:0 ~block_offset:0
-      blocks_cfg
-  in
-  { cfg; names; blocks; names_machine; blocks_machine; next_inode = 0;
-    live_blocks = 0 }
+  { cfg;
+    names =
+      Basic.create ~machine:names_machine ~disk_offset:0 ~block_offset:0
+        names_cfg;
+    blocks =
+      Fragmented.create ~machine:blocks_machine ~disk_offset:0 ~block_offset:0
+        blocks_cfg;
+    names_machine; blocks_machine; next_inode = 0; live_blocks = 0 }
 
 let machines t = [ t.names_machine; t.blocks_machine ]
 
@@ -199,68 +202,56 @@ let files t =
       Some (name, snd (decode_meta meta)))
     (Basic.entries t.names)
 
-(* --- persistence --- *)
+(* --- persistence ---
 
-type volume_image = {
-  i_names : string;  (* machine snapshots via Pdm marshalling *)
-  i_blocks : string;
-  i_next_inode : int;
-  i_live_blocks : int;
-}
+   A saved volume is a directory with one subdirectory of disk files
+   per machine (the file backend's format). Nothing else is stored:
+   reopening recovers both dictionaries from their disks, and the
+   allocator state follows from the name table. *)
 
-let save t path =
-  let snap machine =
-    let tmp = Filename.temp_file "pdm_fs" ".img" in
-    Pdm.save_to_file machine tmp;
-    let ic = open_in_bin tmp in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    Sys.remove tmp;
-    s
-  in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Marshal.to_channel oc
-        { i_names = snap t.names_machine; i_blocks = snap t.blocks_machine;
-          i_next_inode = t.next_inode; i_live_blocks = t.live_blocks }
-        [])
+let names_dir dir = Filename.concat dir "names"
+let blocks_dir dir = Filename.concat dir "blocks"
 
-let load cfg path =
-  let ic = open_in_bin path in
-  let image : volume_image =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        Marshal.from_channel ic)
+let file_disks dir = Some (Store.factory (Store.spec ~dir Store.File))
+
+let save t dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  List.iter2
+    (fun sub m ->
+      (* a fresh image: blocks of an older save must not survive *)
+      Store.cleanup_dir sub;
+      let copy =
+        machine t.cfg (file_disks sub) ~blocks_per_disk:(Pdm.blocks_per_disk m)
+      in
+      let blocks = ref [] in
+      Pdm.iter_allocated m (fun a payload -> blocks := (a, payload) :: !blocks);
+      Pdm.write copy !blocks;
+      Pdm.barrier copy)
+    [ names_dir dir; blocks_dir dir ] (machines t)
+
+let load cfg dir =
+  if not (Sys.file_exists (names_dir dir) && Sys.file_exists (blocks_dir dir))
+  then fail "no saved volume in %S" dir;
+  let names_cfg = names_plan cfg and blocks_cfg = blocks_plan cfg in
+  let names_machine =
+    machine cfg (file_disks (names_dir dir))
+      ~blocks_per_disk:(Basic.blocks_per_disk names_cfg)
   in
-  let unsnap s =
-    let tmp = Filename.temp_file "pdm_fs" ".img" in
-    let oc = open_out_bin tmp in
-    output_string oc s;
-    close_out oc;
-    let m : int Pdm.t = Pdm.load_from_file tmp in
-    Sys.remove tmp;
-    m
+  let blocks_machine =
+    machine cfg (file_disks (blocks_dir dir))
+      ~blocks_per_disk:(Fragmented.blocks_per_disk blocks_cfg)
   in
-  let names_machine = unsnap image.i_names in
-  let blocks_machine = unsnap image.i_blocks in
-  let names_cfg =
-    Basic.plan ~universe:name_universe ~capacity:cfg.max_files
-      ~block_words:cfg.block_words ~degree:cfg.disks_per_dict
-      ~value_bytes:meta_bytes ~seed:cfg.seed ()
+  let names =
+    Basic.recover ~machine:names_machine ~disk_offset:0 ~block_offset:0
+      names_cfg
   in
-  let blocks_cfg =
-    Fragmented.plan ~strategy:(`Average 2.5)
-      ~universe:(cfg.max_files * cfg.blocks_per_file)
-      ~capacity:cfg.max_blocks ~block_words:cfg.block_words
-      ~degree:cfg.disks_per_dict ~sigma_bits:(8 * cfg.payload_bytes)
-      ~seed:(cfg.seed + 1) ()
+  let metas =
+    List.map (fun (_, meta) -> decode_meta meta) (Basic.entries names)
   in
-  { cfg;
-    names = Basic.recover ~machine:names_machine ~disk_offset:0 ~block_offset:0 names_cfg;
+  { cfg; names;
     blocks =
       Fragmented.recover ~machine:blocks_machine ~disk_offset:0
         ~block_offset:0 blocks_cfg;
     names_machine; blocks_machine;
-    next_inode = image.i_next_inode; live_blocks = image.i_live_blocks }
+    next_inode = List.fold_left (fun n (inode, _) -> max n (inode + 1)) 0 metas;
+    live_blocks = List.fold_left (fun n (_, length) -> n + length) 0 metas }

@@ -100,11 +100,19 @@ val files : t -> (string * int) list
     is the point. *)
 
 val save : t -> string -> unit
-(** Persist the volume (both machines and the allocator counters) to a
-    file; [Marshal] caveats apply. *)
+(** [save t dir] writes the volume into directory [dir] (created if
+    missing), replacing any volume saved there before: one
+    subdirectory of file-backend disk files per machine
+    ({!Pdm_io.Store}), flushed to stable storage. Nothing else is
+    written — the allocator state is derived on {!load}. The copy is
+    charged to throwaway machines, not to [t]. *)
 
 val load : config -> string -> t
-(** Reopen a saved volume. The dictionaries are recovered from the
-    disk images (a scan each), so a crash between [save]s loses only
-    what a real unsynced volume would. The config must match the one
-    the volume was formatted with. *)
+(** [load cfg dir] reopens the volume saved in [dir]. The volume it
+    returns lives there: its machines sit on the disk files in [dir],
+    so every write goes straight to them (durable at
+    {!Pdm_sim.Pdm.barrier}) — do not {!save} it back onto [dir]. Both
+    dictionaries are recovered from the disk images (a scan each), and
+    the next inode and live block count are derived from the name
+    table. The config must match the one the volume was formatted
+    with. Raises {!Fs_error} when [dir] holds no saved volume. *)

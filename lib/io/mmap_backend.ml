@@ -72,7 +72,6 @@ let create ~dir ~disk ~blocks ~slots () =
     max_retries = 0;
     peek = (fun b -> load st b);
     poke = (fun b payload -> store st b payload);
-    dump = (fun () -> Array.init blocks (fun b -> load st b));
     exists = (fun b -> bit_get st.written b);
     barrier =
       (fun () ->

@@ -31,12 +31,12 @@ let spec ?dir ?(direct = false) kind = { kind; dir; direct }
 
 let created : string list ref = ref []
 
-let cleanup_dir dir =
+let rec cleanup_dir dir =
   if Sys.file_exists dir && Sys.is_directory dir then begin
     Array.iter
       (fun f ->
         let p = Filename.concat dir f in
-        if not (Sys.is_directory p) then Sys.remove p)
+        if Sys.is_directory p then cleanup_dir p else Sys.remove p)
       (Sys.readdir dir);
     Sys.rmdir dir
   end

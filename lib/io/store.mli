@@ -45,8 +45,8 @@ val with_dir : ?prefix:string -> (string -> 'a) -> 'a
     leak files. *)
 
 val cleanup_dir : string -> unit
-(** Remove a directory's regular files and the directory itself.
-    No-op when it does not exist. *)
+(** Remove a directory and everything under it. No-op when it does
+    not exist. *)
 
 val install : unit -> unit
 (** Register the ["file"] and ["mmap"] kinds in

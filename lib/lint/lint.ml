@@ -127,8 +127,7 @@ let unix_component_allowlists =
    payloads' disk/block/round fields, cost, max_retries, blocks) are
    fine to touch anywhere. *)
 let backend_io_members =
-  [ "read"; "write"; "poke"; "peek"; "dump"; "of_store"; "memory"; "dead";
-    "wrap" ]
+  [ "read"; "write"; "poke"; "peek"; "memory"; "dead"; "wrap" ]
 
 let component_of_path = Callgraph.component_of_path
 

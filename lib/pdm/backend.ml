@@ -43,28 +43,25 @@ type 'a t = {
   max_retries : int;
   peek : int -> 'a option array option;
   poke : int -> 'a option array option -> unit;
-  dump : unit -> 'a option array option array;
   exists : int -> bool;
   barrier : unit -> unit;
 }
 
 type 'a factory = blocks:int -> slots:int -> (int -> 'a t) option
 
-let of_store ~disk store =
+let memory ~disk ~blocks =
+  let store = Array.make blocks None in
   { name = "memory";
     disk;
-    blocks = Array.length store;
+    blocks;
     read = (fun ~attempt:_ b -> Data store.(b));
     write = (fun b slots -> store.(b) <- Some slots);
     cost = 1;
     max_retries = 0;
     peek = (fun b -> store.(b));
     poke = (fun b slots -> store.(b) <- slots);
-    dump = (fun () -> store);
     exists = (fun b -> store.(b) <> None);
     barrier = (fun () -> ()) }
-
-let memory ~disk ~blocks = of_store ~disk (Array.make blocks None)
 
 (* A disk that died at run time: its contents are unreadable even by
    [peek] — recovery must come from replicas elsewhere. *)
@@ -79,6 +76,5 @@ let dead ~disk ~blocks =
     max_retries = 0;
     peek = (fun _ -> None);
     poke = (fun _ _ -> ());
-    dump = (fun () -> Array.make blocks None);
     exists = (fun _ -> false);
     barrier = (fun () -> ()) }

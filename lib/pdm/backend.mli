@@ -10,9 +10,8 @@
 
     Backends deal in {e raw} block arrays: the machine layer owns all
     copying, so a backend never hands a caller an alias it may mutate
-    through the counted API. [peek]/[poke]/[dump] bypass both
-    accounting and fault injection; they exist for tests, bulk loading
-    and persistence. *)
+    through the counted API. [peek]/[poke] bypass both accounting and
+    fault injection; they exist for tests and bulk loading. *)
 
 type error = { disk : int; block : int; round : int }
 (** Where an I/O finally failed. [block] and [round] are [-1] when the
@@ -67,8 +66,6 @@ type 'a t = {
       (** Uncounted, fault-free raw access (do not mutate). *)
   poke : int -> 'a option array option -> unit;
       (** Uncounted, fault-free raw store. *)
-  dump : unit -> 'a option array option array;
-      (** The raw block store, for persistence (live, do not mutate). *)
   exists : int -> bool;
       (** Uncounted "was this block ever written" test — cheaper than
           [peek] on backends that would otherwise decode the block. *)
@@ -89,10 +86,6 @@ type 'a factory = blocks:int -> slots:int -> (int -> 'a t) option
 
 val memory : disk:int -> blocks:int -> 'a t
 (** Fresh all-empty in-memory backend — the default disk. *)
-
-val of_store : disk:int -> 'a option array option array -> 'a t
-(** In-memory backend over an existing store (used when loading a
-    persisted machine). The array is owned by the backend. *)
 
 val dead : disk:int -> blocks:int -> 'a t
 (** A disk killed at run time ({!Pdm.kill_disk}): reads answer [Lost],

@@ -31,7 +31,7 @@ val machine : 'a t -> 'a Pdm.t
 val capacity : 'a t -> int
 
 val read : 'a t -> Pdm.addr list -> (Pdm.addr * 'a option array) list
-(** Hits are free; misses are fetched in one machine request (scheduled
+(** Hits are free; misses are fetched in one machine request (packed
     into the minimal rounds) and inserted, evicting least recently used
     blocks. Returned arrays are private copies. *)
 

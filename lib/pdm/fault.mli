@@ -66,7 +66,7 @@ val wrap : spec -> 'a Backend.t -> 'a Backend.t
 (** Layer the schedule over a backend: reads consult
     {!transient_hit} and {!corrupt_hit}, a failed disk answers [Lost]
     (and raises on writes), a straggler multiplies [cost].
-    [peek]/[poke]/[dump] pass through unharmed — injected corruption
+    [peek]/[poke] pass through unharmed — injected corruption
     lives on the wire, never on the stored data. *)
 
 val is_noop : spec -> bool

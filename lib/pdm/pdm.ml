@@ -25,8 +25,6 @@ type 'a t = {
   remap : (addr * int, addr) Hashtbl.t;  (* (logical, replica) moved *)
   spare_next : int array;  (* next free block on each spare disk *)
   fault_spec : Fault.spec option;
-  custom_backends : bool;
-  mutable killed : bool;  (* some disk was killed at run time *)
   mutable trace : Trace.t option;
   mutable rounds_done : int;
   mutable allocated : int;
@@ -36,8 +34,8 @@ type 'a t = {
 let physical_disks_of ~disks ~spares = disks + spares
 let physical_blocks_of ~replicas ~blocks_per_disk = replicas * blocks_per_disk
 
-let create ?(model = Independent_disks) ?stats ?trace ?faults ?backends
-    ?factory ?(replicas = 1) ?(spares = 0) ?integrity ~disks ~block_size
+let create ?(model = Independent_disks) ?stats ?trace ?faults ?factory
+    ?(replicas = 1) ?(spares = 0) ?integrity ~disks ~block_size
     ~blocks_per_disk () =
   if disks < 1 then invalid_arg "Pdm.create: disks must be >= 1";
   if block_size < 1 then invalid_arg "Pdm.create: block_size must be >= 1";
@@ -53,15 +51,14 @@ let create ?(model = Independent_disks) ?stats ?trace ?faults ?backends
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let phys_blocks = physical_blocks_of ~replicas ~blocks_per_disk in
   let phys_disks = physical_disks_of ~disks ~spares in
-  (* A factory is the geometry-blind form of [?backends]: we hand it
-     the physical blocks-per-disk and the sealed slot width (payload
-     plus integrity envelope) and it answers with per-disk constructors
-     — or [None], meaning "use the default memory disks". An explicit
-     [?backends] wins when both are given. *)
-  let backends =
-    match backends, factory with
-    | Some _, _ | None, None -> backends
-    | None, Some f ->
+  (* We hand the factory the physical blocks-per-disk and the sealed
+     slot width (payload plus integrity envelope); it answers with
+     per-disk constructors — or [None], meaning "use the default memory
+     disks". *)
+  let supplied =
+    match factory with
+    | None -> None
+    | Some f ->
       let slots =
         block_size
         + (match integrity with Some i -> i.overhead | None -> 0)
@@ -69,7 +66,7 @@ let create ?(model = Independent_disks) ?stats ?trace ?faults ?backends
       f ~blocks:phys_blocks ~slots
   in
   let base d =
-    match backends with
+    match supplied with
     | None -> Backend.memory ~disk:d ~blocks:phys_blocks
     | Some f ->
       let b = f d in
@@ -80,18 +77,28 @@ let create ?(model = Independent_disks) ?stats ?trace ?faults ?backends
       b
   in
   let wrap b = match faults with None -> b | Some s -> Fault.wrap s b in
+  let backends = Array.init phys_disks (fun d -> wrap (base d)) in
+  (* Supplied disks may already hold blocks (a reopened directory):
+     the space count starts from what is stored. *)
+  let allocated =
+    if Option.is_none supplied then 0
+    else
+      Array.fold_left
+        (fun n bk ->
+          let blocks = Seq.init phys_blocks Fun.id in
+          n + Seq.length (Seq.filter bk.Backend.exists blocks))
+        0 backends
+  in
   { disks; block_size; blocks_per_disk; replicas; spares; model; stats;
     integrity;
-    backends = Array.init phys_disks (fun d -> wrap (base d));
+    backends;
     down = Array.make phys_disks false;
     remap = Hashtbl.create 16;
     spare_next = Array.make spares 0;
     fault_spec = faults;
-    custom_backends = backends <> None;
-    killed = false;
     trace;
     rounds_done = 0;
-    allocated = 0;
+    allocated;
     write_listeners = [] }
 
 let disks t = t.disks
@@ -129,14 +136,18 @@ let notify_write t a =
    identity map for j = 0, so an unreplicated machine has the exact
    physical layout of the seed simulator. Repair may move a replica
    elsewhere (a spare disk); the remap table records those moves. *)
+let home t a j =
+  if j = 0 then a
+  else
+    { disk = (a.disk + j) mod t.disks;
+      block = (j * t.blocks_per_disk) + a.block }
+
 let phys t a j =
-  match Hashtbl.find_opt t.remap (a, j) with
-  | Some p -> p
-  | None ->
-    if j = 0 then a
-    else
-      { disk = (a.disk + j) mod t.disks;
-        block = (j * t.blocks_per_disk) + a.block }
+  if Hashtbl.length t.remap = 0 then home t a j
+  else
+    match Hashtbl.find_opt t.remap (a, j) with
+    | Some p -> p
+    | None -> home t a j
 
 let check_addr t { disk; block } =
   if disk < 0 || disk >= t.disks then invalid_arg "Pdm: disk out of range";
@@ -147,48 +158,32 @@ let replica_disks t a =
   check_addr t a;
   List.init t.replicas (fun j -> (phys t a j).disk)
 
-let dedup addrs =
+(* Keep the first element of each [key], in list order. *)
+let dedup key xs =
   let seen = Hashtbl.create 16 in
   List.filter
-    (fun a ->
-      if Hashtbl.mem seen a then false
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
       else begin
-        Hashtbl.add seen a ();
+        Hashtbl.add seen k ();
         true
       end)
-    addrs
-
-(* Minimal number of rounds to transfer the given distinct blocks on
-   healthy disks. *)
-let rounds_of_distinct t addrs =
-  match addrs with
-  | [] -> 0
-  | _ ->
-    (match t.model with
-     | Parallel_heads -> Imath.cdiv (List.length addrs) t.disks
-     | Independent_disks ->
-       let per_disk = Array.make t.disks 0 in
-       List.iter (fun a -> per_disk.(a.disk) <- per_disk.(a.disk) + 1) addrs;
-       Array.fold_left max 0 per_disk)
+    xs
 
 let rounds_for t addrs =
   List.iter (check_addr t) addrs;
-  rounds_of_distinct t (dedup addrs)
+  let addrs = dedup Fun.id addrs in
+  match t.model with
+  | Parallel_heads -> Imath.cdiv (List.length addrs) t.disks
+  | Independent_disks ->
+    let per_disk = Array.make t.disks 0 in
+    List.iter (fun a -> per_disk.(a.disk) <- per_disk.(a.disk) + 1) addrs;
+    Array.fold_left max 0 per_disk
 
 let block_copy t = function
   | None -> Array.make t.block_size None
   | Some slots -> Array.copy slots
-
-(* A request runs on the slow, round-by-round scheduler whenever its
-   rounds cannot be predicted by the closed form: fault injection may
-   re-issue blocks, stragglers stretch transfers, custom backends may
-   do either, tracing needs to see the actual rounds, and replication,
-   spares, integrity checking or a killed disk all need per-block
-   failure handling. *)
-let scheduled t =
-  t.trace <> None || t.fault_spec <> None || t.custom_backends || t.killed
-  || t.replicas > 1 || t.spares > 0
-  || Option.is_some t.integrity
 
 let add_disk_blocks t ~op per_disk =
   Array.iteri
@@ -214,16 +209,6 @@ let raise_failure t p reason attempts =
       (Backend.Retries_exhausted
          { disk = p.disk; block = p.block; attempts; round })
 
-(* Round-by-round execution over the physical disks. [perform a
-   ~attempt] completes one block transfer, answering [`Done], [`Retry
-   reason] (re-queue for a later round, up to the budget) or [`Fail
-   reason] (the block cannot be served here; the caller's [on_fail]
-   decides whether a replica takes over or the failure is terminal).
-   Each disk is a channel draining its own queue in the
-   independent-disks model; the head model has interchangeable
-   channels over one queue. A transfer occupies [cost] rounds of its
-   channel, so a straggling or retried block honestly delays
-   everything queued behind it. Returns the number of rounds used. *)
 (* Sanitizer verdict on one finished round: every perform call must
    have been accounted as delivered, retried or failed; no disk may
    have been touched twice (independent-disks model); the round cannot
@@ -257,18 +242,59 @@ let sanitize_round t ~round_id ~channels ~touched ~performs ~accounted
              touched.(d)))
     per_disk
 
+(* Sanitizer verdict on a request that ran clean — no retry, no
+   failover, every transfer one round: it must deliver every block and
+   charge exactly the closed-form rounds of its physical addresses.
+   The closed form is recomputed independently of the scheduler: sort
+   the disks and count the longest same-disk run. *)
+let sanitize_clean_request t ~channels ~paddrs ~rounds ~delivered =
+  let n = Array.length paddrs in
+  let expect =
+    match t.model with
+    | Parallel_heads -> Imath.cdiv n channels
+    | Independent_disks ->
+      let sorted =
+        List.sort compare (Array.to_list (Array.map (fun p -> p.disk) paddrs))
+      in
+      let worst, _, _ =
+        List.fold_left
+          (fun (worst, prev, run) d ->
+            let run = if prev = Some d then run + 1 else 1 in
+            (max worst run, Some d, run))
+          (0, None, 0) sorted
+      in
+      worst
+  in
+  if rounds <> expect || delivered <> n then
+    Sanitize.fail ~check:"closed-form-rounds" ~round:t.rounds_done
+      (Printf.sprintf
+         "clean request of %d blocks charged %d rounds and delivered %d; \
+          recomputed %d rounds"
+         n rounds delivered expect)
+
+(* Round-by-round execution of one request over the physical disks —
+   the only way a block moves. [perform k ~attempt] completes the
+   transfer of [paddrs.(k)], answering [`Done], [`Retry reason]
+   (re-queue for a later round, up to the budget) or [`Fail reason]
+   (the block cannot be served here; the caller's [on_fail] decides
+   whether a replica takes over or the failure is terminal). Each disk
+   is a channel draining its own queue in the independent-disks model;
+   the head model has interchangeable channels over one queue. A
+   transfer occupies [cost] rounds of its channel, so a straggling or
+   retried block honestly delays everything queued behind it. The
+   addresses must be distinct. Returns the number of rounds used. *)
 (* pdm-lint: domain local — scheduler round ledger and per-disk queues; one scheduler per simulation, never shared *)
-let schedule t ~op ~addrs ~perform ~on_fail =
+let schedule t ~op ~paddrs ~perform ~on_fail =
   let channels = physical_disks t in
   let queues =
     match t.model with
     | Independent_disks ->
       let qs = Array.init channels (fun _ -> Queue.create ()) in
-      List.iter (fun a -> Queue.add a qs.(a.disk)) addrs;
+      Array.iteri (fun k p -> Queue.add k qs.(p.disk)) paddrs;
       qs
     | Parallel_heads ->
       let q = Queue.create () in
-      List.iter (fun a -> Queue.add a q) addrs;
+      Array.iteri (fun k _ -> Queue.add k q) paddrs;
       [| q |]
   in
   let queue_of c =
@@ -276,12 +302,13 @@ let schedule t ~op ~addrs ~perform ~on_fail =
     | Independent_disks -> queues.(c)
     | Parallel_heads -> queues.(0)
   in
-  let attempts = Hashtbl.create 16 in
-  let attempt_of a = Option.value (Hashtbl.find_opt attempts a) ~default:0 in
+  let attempts = Array.make (Array.length paddrs) 0 in
   let current = Array.make channels None in
   let busy () = Array.exists Option.is_some current in
   let queued () = Array.exists (fun q -> not (Queue.is_empty q)) queues in
   let rounds_used = ref 0 in
+  let delivered = ref 0 in
+  let clean = ref true in
   let sanitizing = Sanitize.active () in
   while busy () || queued () do
     let round_id = t.rounds_done + 1 in
@@ -296,52 +323,56 @@ let schedule t ~op ~addrs ~perform ~on_fail =
        | None ->
          let q = queue_of c in
          if not (Queue.is_empty q) then begin
-           let a = Queue.pop q in
-           let cost = t.backends.(a.disk).Backend.cost in
+           let k = Queue.pop q in
+           let disk = paddrs.(k).disk in
+           let cost = t.backends.(disk).Backend.cost in
            if sanitizing && cost < 1 then
              Sanitize.fail ~check:"backend-cost" ~round:round_id
                (Printf.sprintf
                   "disk %d advertises cost %d; a transfer takes >= 1 round"
-                  a.disk cost);
-           current.(c) <- Some (a, cost)
+                  disk cost);
+           current.(c) <- Some (k, cost)
          end);
       match current.(c) with
       | None -> ()
-      | Some (a, remaining) ->
-        let bk = t.backends.(a.disk) in
+      | Some (k, remaining) ->
+        let disk = paddrs.(k).disk in
+        let bk = t.backends.(disk) in
         if bk.Backend.cost > 1 then degraded := true;
         let remaining = remaining - 1 in
-        if remaining > 0 then current.(c) <- Some (a, remaining)
+        if remaining > 0 then current.(c) <- Some (k, remaining)
         else begin
           current.(c) <- None;
           if sanitizing then begin
             incr performs;
-            touched.(a.disk) <- touched.(a.disk) + 1
+            touched.(disk) <- touched.(disk) + 1
           end;
-          match perform a ~attempt:(attempt_of a) with
+          match perform k ~attempt:attempts.(k) with
           | `Done ->
             incr accounted;
-            per_disk.(a.disk) <- per_disk.(a.disk) + 1
+            incr delivered;
+            per_disk.(disk) <- per_disk.(disk) + 1
           | `Fail reason ->
             incr accounted;
             degraded := true;
-            on_fail a reason ~attempts:(attempt_of a)
+            on_fail k reason ~attempts:attempts.(k)
           | `Retry reason ->
             incr accounted;
             incr retries;
             degraded := true;
-            let next = attempt_of a + 1 in
+            let next = attempts.(k) + 1 in
             if next > bk.Backend.max_retries then
-              on_fail a reason ~attempts:next
+              on_fail k reason ~attempts:next
             else begin
-              Hashtbl.replace attempts a next;
-              Queue.add a (queue_of c)
+              attempts.(k) <- next;
+              Queue.add k (queue_of c)
             end
         end
     done;
     if sanitizing then
       sanitize_round t ~round_id ~channels ~touched ~performs:!performs
         ~accounted:!accounted ~per_disk;
+    if !degraded then clean := false;
     t.rounds_done <- t.rounds_done + 1;
     incr rounds_used;
     (match t.trace with
@@ -352,6 +383,9 @@ let schedule t ~op ~addrs ~perform ~on_fail =
            degraded = !degraded; shard = Trace.shard tr; attempt = 0 });
     add_disk_blocks t ~op per_disk
   done;
+  if sanitizing && !clean then
+    sanitize_clean_request t ~channels ~paddrs ~rounds:!rounds_used
+      ~delivered:!delivered;
   !rounds_used
 
 (* Strip and verify a raw stored block down to its payload. [Ok None]
@@ -367,181 +401,108 @@ let verify t (d : 'a option array option) =
      | Some payload -> Ok (Some payload)
      | None -> Error ())
 
-(* Counted read of physical addresses with no replica failover: each
-   address resolves to [Ok payload] or [Error reason]. Used by scrub,
-   which wants per-replica verdicts rather than one healthy answer. *)
+(* One read attempt at a physical address, as a scheduler transfer:
+   [`Done] once [deliver] has the verified payload, or why the block
+   must be retried or served elsewhere. *)
+(* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
+let read_attempt t p ~attempt deliver =
+  match t.backends.(p.disk).Backend.read ~attempt p.block with
+  | Backend.Data d ->
+    (match verify t d with
+     | Ok payload ->
+       deliver payload;
+       `Done
+     | Error () -> `Retry R_corrupt)
+  | Backend.Transient -> `Retry R_flaky
+  | Backend.Lost ->
+    t.down.(p.disk) <- true;
+    `Fail R_lost
+
+(* Counted read of distinct physical addresses with no replica
+   failover: entry [k] of the answer is [Ok payload] or [Error reason]
+   for [paddrs.(k)]. Used by scrub, which wants per-replica verdicts
+   rather than one healthy answer. *)
 (* pdm-lint: domain local — machine state; every machine belongs to
    one shard, driven by that shard's single owning domain *)
 let read_phys_batch t paddrs =
-  let results = Hashtbl.create 16 in
+  let results = Array.make (Array.length paddrs) (Error R_lost) in
   let delivered = ref 0 in
-  let perform p ~attempt =
-    match t.backends.(p.disk).Backend.read ~attempt p.block with
-    | Backend.Data d ->
-      (match verify t d with
-       | Ok payload ->
-         Hashtbl.replace results p (Ok payload);
-         incr delivered;
-         `Done
-       | Error () -> `Retry R_corrupt)
-    | Backend.Transient -> `Retry R_flaky
-    | Backend.Lost ->
-      t.down.(p.disk) <- true;
-      `Fail R_lost
+  let perform k ~attempt =
+    read_attempt t paddrs.(k) ~attempt (fun payload ->
+        results.(k) <- Ok payload;
+        incr delivered)
   in
-  let on_fail p reason ~attempts:_ =
-    Hashtbl.replace results p (Error reason)
-  in
-  let rounds = schedule t ~op:Trace.Read ~addrs:paddrs ~perform ~on_fail in
+  let on_fail k reason ~attempts:_ = results.(k) <- Error reason in
+  let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
   Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
   results
 
-(* Replicated, verifying read. Each pass schedules one physical
-   candidate per still-unserved logical block — the first candidate
-   replica whose disk is not known down — and blocks that fail move to
-   their next replica for the following pass. A healthy request is one
-   pass (the seed's cost); discovering a dead disk costs one extra
-   pass for the affected blocks, after which the health cache routes
-   straight to the survivors. Only when a block runs out of replicas
-   does the terminal failure escape as a structured exception. The
-   candidate list per address is normally [0; 1; ...; r-1]; a caller
-   that planned its own replica placement (the query engine) passes a
-   rotated list so its chosen replica is tried first. *)
+(* Replicated, verifying read of distinct logical blocks, each with
+   its candidate replicas in the order to try them. Each pass schedules
+   one physical candidate per still-unserved block — the first
+   candidate replica whose disk is not known down — and blocks that
+   fail move to their next replica for the following pass. A healthy
+   request is one pass (the seed's cost); discovering a dead disk costs
+   one extra pass for the affected blocks, after which the health
+   cache routes straight to the survivors. Only when a block runs out
+   of replicas does the terminal failure escape as a structured
+   exception. Answers come back in request order. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let scheduled_read_candidates t with_candidates =
-  let results = ref [] in
-  let delivered = ref 0 in
-  let pending = ref with_candidates in
+let read_candidates t requests =
+  let requests = Array.of_list requests in
+  let cands = Array.map snd requests in
+  let results = Array.make (Array.length requests) [||] in
+  let pending = ref (List.init (Array.length requests) Fun.id) in
   while !pending <> [] do
-    let info = Hashtbl.create 16 in
-    let paddrs =
-      List.map
-        (fun (a, cands) ->
-          let j =
-            match cands with
-            | [] ->
-              (* pdm-lint: allow R3 — unreachable: every pending entry
-                 keeps >= 1 candidate (callers seed [0 .. r-1] with
-                 r >= 1, and [on_fail] only re-queues the non-empty
-                 remainder of the candidate list). *)
-              assert false
-            | first :: _ ->
-              (match
-                 List.find_opt (fun j -> not t.down.((phys t a j).disk)) cands
-               with
-               | Some j -> j
-               | None -> first)
-          in
-          let p = phys t a j in
-          Hashtbl.replace info p (a, List.filter (fun x -> x <> j) cands);
-          p)
-        !pending
-    in
+    let idx = Array.of_list !pending in
     pending := [];
-    let before = !delivered in
-    let perform p ~attempt =
-      match t.backends.(p.disk).Backend.read ~attempt p.block with
-      | Backend.Data d ->
-        (match verify t d with
-         | Ok payload ->
-           let a, _ = Hashtbl.find info p in
-           results := (a, block_copy t payload) :: !results;
-           incr delivered;
-           `Done
-         | Error () -> `Retry R_corrupt)
-      | Backend.Transient -> `Retry R_flaky
-      | Backend.Lost ->
-        t.down.(p.disk) <- true;
-        `Fail R_lost
+    let chosen =
+      Array.map
+        (fun i ->
+          let a = fst requests.(i) in
+          match cands.(i) with
+          | [] ->
+            (* pdm-lint: allow R3 — unreachable: every pending entry
+               keeps >= 1 candidate (callers seed [0 .. r-1] with
+               r >= 1, and [on_fail] only re-queues the non-empty
+               remainder of the candidate list). *)
+            assert false
+          | first :: _ ->
+            (match
+               List.find_opt (fun j -> not t.down.((phys t a j).disk)) cands.(i)
+             with
+             | Some j -> j
+             | None -> first))
+        idx
     in
-    let on_fail p reason ~attempts =
-      let a, rest = Hashtbl.find info p in
-      match rest with
-      | _ :: _ -> pending := (a, rest) :: !pending
-      | [] -> raise_failure t p reason attempts
+    let paddrs =
+      Array.mapi (fun k i -> phys t (fst requests.(i)) chosen.(k)) idx
     in
-    let rounds = schedule t ~op:Trace.Read ~addrs:paddrs ~perform ~on_fail in
-    Stats.add_read_round t.stats ~blocks:(!delivered - before) ~rounds
+    let delivered = ref 0 in
+    let perform k ~attempt =
+      read_attempt t paddrs.(k) ~attempt (fun payload ->
+          results.(idx.(k)) <- block_copy t payload;
+          incr delivered)
+    in
+    let on_fail k reason ~attempts =
+      let i = idx.(k) in
+      match List.filter (fun j -> j <> chosen.(k)) cands.(i) with
+      | [] -> raise_failure t paddrs.(k) reason attempts
+      | rest ->
+        cands.(i) <- rest;
+        pending := i :: !pending
+    in
+    let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
+    Stats.add_read_round t.stats ~blocks:!delivered ~rounds
   done;
-  !results
+  Array.to_list (Array.mapi (fun i (a, _) -> (a, results.(i))) requests)
 
-let scheduled_read t addrs =
-  scheduled_read_candidates t
-    (List.map (fun a -> (a, List.init t.replicas Fun.id)) addrs)
+let all_replicas t = List.init t.replicas Fun.id
 
-(* Independent recomputation of the closed-form fast-path cost: sort
-   the disks and count the longest same-disk run, rather than the
-   bucket-array walk of [rounds_of_distinct]. Two different code paths
-   must agree on every charge. *)
-let sanitize_fast_rounds t ~addrs ~rounds =
-  let expect =
-    match t.model with
-    | Parallel_heads -> Imath.cdiv (List.length addrs) t.disks
-    | Independent_disks ->
-      let sorted = List.sort compare (List.map (fun a -> a.disk) addrs) in
-      let worst, _, _ =
-        List.fold_left
-          (fun (worst, prev, run) d ->
-            let run = if prev = Some d then run + 1 else 1 in
-            (max worst run, Some d, run))
-          (0, None, 0) sorted
-      in
-      worst
-  in
-  if rounds <> expect then
-    Sanitize.fail ~check:"closed-form-rounds" ~round:t.rounds_done
-      (Printf.sprintf "fast path charged %d rounds; recomputed %d" rounds
-         expect)
-
-(* The fast path must charge exactly one block transfer per requested
-   address and exactly the closed-form number of rounds — no more
-   (padding would hide imbalance) and no less (undercharging would
-   fake the bounds). *)
-let sanitize_fast_charges ~what ~blocks ~rounds_delta ~blocks_delta ~rounds =
-  if blocks_delta <> blocks || rounds_delta <> rounds then
-    Sanitize.fail ~check:"fast-path-charges"
-      (Printf.sprintf
-         "%s of %d blocks / %d rounds charged %d blocks / %d rounds" what
-         blocks rounds blocks_delta rounds_delta)
-
-(* pdm-lint: domain local — fast-path round charge on t, owned by the scheduler *)
 let read t addrs =
   List.iter (check_addr t) addrs;
-  let addrs = dedup addrs in
-  if scheduled t then scheduled_read t addrs
-  else begin
-    let rounds = rounds_of_distinct t addrs in
-    let before =
-      if Sanitize.active () then begin
-        sanitize_fast_rounds t ~addrs ~rounds;
-        Some (Stats.snapshot t.stats)
-      end
-      else None
-    in
-    Stats.add_read_round t.stats ~blocks:(List.length addrs) ~rounds;
-    t.rounds_done <- t.rounds_done + rounds;
-    let result =
-      List.map
-        (fun a ->
-          Stats.add_disk_read t.stats ~disk:a.disk ~blocks:1;
-          match t.backends.(a.disk).Backend.read ~attempt:0 a.block with
-          | Backend.Data d -> (a, block_copy t d)
-          | Backend.Transient | Backend.Lost ->
-            (* pdm-lint: allow R3 — unreachable: the fast path runs only
-               when [scheduled t] is false, i.e. the machine has plain
-               in-memory backends, which always answer [Data]. *)
-            assert false)
-        addrs
-    in
-    (match before with
-     | None -> ()
-     | Some before ->
-       let d = Stats.diff ~after:(Stats.snapshot t.stats) ~before in
-       sanitize_fast_charges ~what:"read" ~blocks:(List.length addrs)
-         ~rounds_delta:d.Stats.parallel_reads ~blocks_delta:d.Stats.block_reads
-         ~rounds);
-    result
-  end
+  read_candidates t
+    (List.map (fun a -> (a, all_replicas t)) (dedup Fun.id addrs))
 
 let read_one t a =
   match read t [ a ] with
@@ -559,26 +520,13 @@ let read_one t a =
    preference is 0 and this is exactly {!read}. *)
 let read_preferring t prefs =
   List.iter (fun (a, _) -> check_addr t a) prefs;
-  let seen = Hashtbl.create 16 in
-  let prefs =
-    List.filter
-      (fun (a, _) ->
-        if Hashtbl.mem seen a then false
-        else begin
-          Hashtbl.add seen a ();
-          true
-        end)
-      prefs
-  in
-  if not (scheduled t) then read t (List.map fst prefs)
-  else
-    scheduled_read_candidates t
-      (List.map
-         (fun (a, j) ->
-           if j < 0 || j >= t.replicas then
-             invalid_arg "Pdm.read_preferring: replica out of range";
-           (a, j :: List.filter (fun x -> x <> j) (List.init t.replicas Fun.id)))
-         prefs)
+  read_candidates t
+    (List.map
+       (fun (a, j) ->
+         if j < 0 || j >= t.replicas then
+           invalid_arg "Pdm.read_preferring: replica out of range";
+         (a, j :: List.filter (fun x -> x <> j) (all_replicas t)))
+       (dedup fst prefs))
 
 (* Run a user-supplied integrity envelope, cross-checking (under the
    sanitizer) that it really produces stored images of the size it
@@ -597,23 +545,30 @@ let apply_envelope t itg slots =
   sealed
 
 (* Seal a payload for storage (checksum appended when the machine
-   carries an integrity envelope). Always returns a fresh array. *)
+   carries an integrity envelope). Without an envelope the payload
+   itself is returned: {!write_attempt} copies whatever it stores. *)
 let seal t slots =
   if Array.length slots <> t.block_size then
     invalid_arg "Pdm.write: block has wrong length";
   match t.integrity with
-  | None -> Array.copy slots
+  | None -> slots
   | Some itg -> apply_envelope t itg slots
 
-(* Store already-sealed data at one physical address. Raises
-   [Backend.Disk_failed] on a dead disk before touching the
-   allocation counter. *)
-(* pdm-lint: domain local — allocation high-water mark on t, owned by the scheduler *)
-let store_phys t p data =
+(* One write attempt of already-sealed data at a physical address, as
+   a scheduler transfer: [`Done] after [stored ()], or [`Fail] when the
+   disk is dead (the allocation counter left untouched). *)
+(* pdm-lint: domain local — allocation high-water mark and down-disk mask on t, owned by the scheduler *)
+let write_attempt t p data stored =
   let bk = t.backends.(p.disk) in
   let fresh = not (bk.Backend.exists p.block) in
-  bk.Backend.write p.block (Array.copy data);
-  if fresh then t.allocated <- t.allocated + 1
+  match bk.Backend.write p.block (Array.copy data) with
+  | () ->
+    if fresh then t.allocated <- t.allocated + 1;
+    stored ();
+    `Done
+  | exception Backend.Disk_failed _ ->
+    t.down.(p.disk) <- true;
+    `Fail R_lost
 
 (* Single-block counted write used by repair; false when the target
    disk turns out to be dead. *)
@@ -621,114 +576,61 @@ let store_phys t p data =
    one shard, driven by that shard's single owning domain *)
 let write_phys_one t p data =
   let ok = ref false in
-  let perform p ~attempt:_ =
-    match store_phys t p data with
-    | () ->
-      ok := true;
-      `Done
-    | exception Backend.Disk_failed _ ->
-      t.down.(p.disk) <- true;
-      `Fail R_lost
-  in
+  let perform _ ~attempt:_ = write_attempt t p data (fun () -> ok := true) in
   let on_fail _ _ ~attempts:_ = () in
-  let rounds = schedule t ~op:Trace.Write ~addrs:[ p ] ~perform ~on_fail in
+  let rounds = schedule t ~op:Trace.Write ~paddrs:[| p |] ~perform ~on_fail in
   Stats.add_write_round t.stats ~blocks:(if !ok then 1 else 0) ~rounds;
   !ok
 
 (* Replicated write: every logical block is sealed once and stored on
-   all r of its replica disks in one scheduled request. A replica
+   all r of its replica disks in one request. A replica
    landing on a disk that is (or turns out to be) dead is skipped —
    the block survives as long as one replica is stored; only when all
    r replicas fail does the write raise. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let scheduled_write t blocks =
-  let sealed = Hashtbl.create 16 in
-  let owner = Hashtbl.create 16 in
-  let failed = Hashtbl.create 4 in
-  let stored = ref 0 in
-  let fail_one p reason attempts =
-    let a = Hashtbl.find owner p in
-    let n = 1 + Option.value (Hashtbl.find_opt failed a) ~default:0 in
-    Hashtbl.replace failed a n;
-    if n >= t.replicas then raise_failure t p reason attempts
-  in
-  let paddrs =
-    List.concat_map
-      (fun (a, slots) ->
-        let data = seal t slots in
-        List.init t.replicas (fun j ->
-            let p = phys t a j in
-            Hashtbl.replace sealed p data;
-            Hashtbl.replace owner p a;
-            p))
-      blocks
-  in
-  (* replicas on disks already known down fail without costing a
-     round — there is nothing to schedule there *)
-  let paddrs =
-    List.filter
-      (fun p ->
-        if t.down.(p.disk) then begin
-          fail_one p R_lost 0;
-          false
-        end
-        else true)
-      paddrs
-  in
-  let perform p ~attempt:_ =
-    match store_phys t p (Hashtbl.find sealed p) with
-    | () ->
-      incr stored;
-      `Done
-    | exception Backend.Disk_failed _ ->
-      t.down.(p.disk) <- true;
-      `Fail R_lost
-  in
-  let on_fail p reason ~attempts = fail_one p reason attempts in
-  let rounds = schedule t ~op:Trace.Write ~addrs:paddrs ~perform ~on_fail in
-  Stats.add_write_round t.stats ~blocks:!stored ~rounds
-
-(* Fast-path store (identical to the seed simulator). *)
-(* pdm-lint: domain local — allocation high-water mark on t, owned by the scheduler *)
-let store_block t a slots =
-  if Array.length slots <> t.block_size then
-    invalid_arg "Pdm.write: block has wrong length";
-  let bk = t.backends.(a.disk) in
-  if not (bk.Backend.exists a.block) then t.allocated <- t.allocated + 1;
-  bk.Backend.write a.block (Array.copy slots)
-
-(* pdm-lint: domain local — fast-path round charge on t, owned by the scheduler *)
 let write t blocks =
   List.iter (fun (a, _) -> check_addr t a) blocks;
-  let addrs = List.map fst blocks in
-  if List.length (dedup addrs) <> List.length addrs then
+  if List.length (dedup fst blocks) <> List.length blocks then
     invalid_arg "Pdm.write: duplicate address in one request";
-  List.iter (notify_write t) addrs;
-  if scheduled t then scheduled_write t blocks
-  else begin
-    let rounds = rounds_of_distinct t addrs in
-    let before =
-      if Sanitize.active () then begin
-        sanitize_fast_rounds t ~addrs ~rounds;
-        Some (Stats.snapshot t.stats)
-      end
-      else None
-    in
-    Stats.add_write_round t.stats ~blocks:(List.length blocks) ~rounds;
-    t.rounds_done <- t.rounds_done + rounds;
-    List.iter
-      (fun (a, slots) ->
-        Stats.add_disk_write t.stats ~disk:a.disk ~blocks:1;
-        store_block t a slots)
-      blocks;
-    match before with
-    | None -> ()
-    | Some before ->
-      let d = Stats.diff ~after:(Stats.snapshot t.stats) ~before in
-      sanitize_fast_charges ~what:"write" ~blocks:(List.length blocks)
-        ~rounds_delta:d.Stats.parallel_writes
-        ~blocks_delta:d.Stats.block_writes ~rounds
-  end
+  List.iter (fun (a, _) -> notify_write t a) blocks;
+  let sealed =
+    Array.of_list (List.map (fun (_, slots) -> seal t slots) blocks)
+  in
+  let failed = Array.make (Array.length sealed) 0 in
+  let fail_one i p reason attempts =
+    failed.(i) <- failed.(i) + 1;
+    if failed.(i) >= t.replicas then raise_failure t p reason attempts
+  in
+  (* (owning block, physical address) of every replica; replicas on
+     disks already known down fail without costing a round — there is
+     nothing to schedule there *)
+  let targets =
+    List.concat
+      (List.mapi
+         (fun i (a, _) -> List.init t.replicas (fun j -> (i, phys t a j)))
+         blocks)
+    |> List.filter (fun (i, p) ->
+           if t.down.(p.disk) then begin
+             fail_one i p R_lost 0;
+             false
+           end
+           else true)
+    |> Array.of_list
+  in
+  let stored = ref 0 in
+  let perform k ~attempt:_ =
+    let i, p = targets.(k) in
+    write_attempt t p sealed.(i) (fun () -> incr stored)
+  in
+  let on_fail k reason ~attempts =
+    let i, p = targets.(k) in
+    fail_one i p reason attempts
+  in
+  let rounds =
+    schedule t ~op:Trace.Write ~paddrs:(Array.map snd targets) ~perform
+      ~on_fail
+  in
+  Stats.add_write_round t.stats ~blocks:!stored ~rounds
 
 let write_one t a slots = write t [ (a, slots) ]
 
@@ -802,8 +704,7 @@ let kill_disk t d =
   let blocks = physical_blocks_of ~replicas:t.replicas
       ~blocks_per_disk:t.blocks_per_disk in
   t.backends.(d) <- Backend.dead ~disk:d ~blocks;
-  t.down.(d) <- true;
-  t.killed <- true
+  t.down.(d) <- true
 
 let damage_stored t a ~replica =
   check_addr t a;
@@ -867,7 +768,7 @@ let raw_allocated t a =
   go 0
 
 (* Scrub: sweep every allocated logical block, read all its replicas
-   (one scheduled batch per block — r distinct disks, so one round
+   (one request per block — r distinct disks, so one round
    when healthy), verify checksums, and rewrite every bad replica
    from an intact one: in place when its disk still answers, onto a
    spare disk (recording the move in the remap table) when it does
@@ -900,9 +801,9 @@ let scrub t =
       counting repair_rounds (fun () ->
           write_phys_one t target data
           &&
-          match Hashtbl.find_opt (read_phys_batch t [ target ]) target with
-          | Some (Ok (Some _)) -> true
-          | _ -> false)
+          match (read_phys_batch t [| target |]).(0) with
+          | Ok (Some _) -> true
+          | Ok None | Error _ -> false)
     in
     let record target =
       incr repaired;
@@ -932,18 +833,20 @@ let scrub t =
         in
         let verdicts =
           counting scan_rounds (fun () ->
-              read_phys_batch t (List.map snd live))
+              read_phys_batch t (Array.of_list (List.map snd live)))
         in
-        let status (j, p) =
+        let status verdict (j, p) =
           if t.down.(p.disk) then (j, `Missing)
           else
-            match Hashtbl.find_opt verdicts p with
-            | Some (Ok (Some payload)) -> (j, `Intact payload)
-            | Some (Ok None) -> (j, `Missing)
-            | Some (Error R_corrupt) -> (j, `Corrupt)
-            | Some (Error (R_lost | R_flaky)) | None -> (j, `Missing)
+            match verdict with
+            | Ok (Some payload) -> (j, `Intact payload)
+            | Error R_corrupt -> (j, `Corrupt)
+            | Ok None | Error (R_lost | R_flaky) -> (j, `Missing)
         in
-        let statuses = List.map status (live @ dead) in
+        let statuses =
+          List.mapi (fun k jp -> status verdicts.(k) jp) live
+          @ List.map (fun (j, _) -> (j, `Missing)) dead
+        in
         let good =
           List.find_map
             (function _, `Intact payload -> Some payload | _ -> None)
@@ -978,70 +881,3 @@ let scrub t =
     lost_blocks = !lost;
     scan_rounds = !scan_rounds;
     repair_rounds = !repair_rounds }
-
-(* Persistence: geometry and store only; counters restart at zero and
-   the reloaded machine always has plain in-memory backends (fault
-   schedules, traces and disk health are run-time configuration, not
-   state). Integrity envelopes are closures, which Marshal cannot
-   carry — the loader takes the envelope again as an argument. *)
-type 'a snapshot_on_disk = {
-  s_disks : int;
-  s_block_size : int;
-  s_blocks_per_disk : int;
-  s_replicas : int;
-  s_spares : int;
-  s_model : model;
-  s_store : 'a option array option array array;
-  s_remap : ((addr * int) * addr) list;
-  s_spare_next : int array;
-  s_allocated : int;
-}
-
-let save_to_file t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Marshal.to_channel oc
-        { s_disks = t.disks; s_block_size = t.block_size;
-          s_blocks_per_disk = t.blocks_per_disk; s_replicas = t.replicas;
-          s_spares = t.spares; s_model = t.model;
-          s_store = Array.map (fun b -> b.Backend.dump ()) t.backends;
-          s_remap = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.remap [];
-          s_spare_next = Array.copy t.spare_next;
-          s_allocated = t.allocated }
-        [])
-
-let load_from_file ?integrity path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let s : 'a snapshot_on_disk = Marshal.from_channel ic in
-      (match integrity with
-       | Some i when i.overhead < 0 ->
-         invalid_arg "Pdm.load_from_file: integrity overhead must be >= 0"
-       | _ -> ());
-      let phys_disks =
-        physical_disks_of ~disks:s.s_disks ~spares:s.s_spares
-      in
-      let remap = Hashtbl.create 16 in
-      List.iter (fun (k, v) -> Hashtbl.replace remap k v) s.s_remap;
-      { disks = s.s_disks; block_size = s.s_block_size;
-        blocks_per_disk = s.s_blocks_per_disk; replicas = s.s_replicas;
-        spares = s.s_spares; model = s.s_model;
-        stats = Stats.create ();
-        integrity;
-        backends =
-          Array.init phys_disks (fun d ->
-              Backend.of_store ~disk:d s.s_store.(d));
-        down = Array.make phys_disks false;
-        remap;
-        spare_next = Array.copy s.s_spare_next;
-        fault_spec = None;
-        custom_backends = false;
-        killed = false;
-        trace = None;
-        rounds_done = 0;
-        allocated = s.s_allocated;
-        write_listeners = [] })

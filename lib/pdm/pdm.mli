@@ -27,7 +27,7 @@
     — the striped-offset version of the paper's d-choice placement,
     deterministic and metadata-free. Reads are served from the first
     replica whose disk is not known to be down; a failed transfer
-    fails over to the next replica in an extra scheduled pass, so a
+    fails over to the next replica in one extra pass, so a
     lookup touching one dead disk costs at most 2× its healthy rounds
     (and, once the health cache has seen the disk down, goes straight
     to a survivor). Writes store all [r] replicas in one request and
@@ -43,20 +43,20 @@
     [?spares] adds hot-spare disks (physical disks [D ..
     D + spares - 1]) that hold no data until {!scrub} re-homes
     replicas from dead or corrupt storage onto them, recording the
-    moves in an in-memory remap table.
+    moves in an in-memory remap table (not persisted).
 
-    Under faults, replication, integrity, spares, custom backends or
-    tracing, requests run on a round-by-round scheduler: a transiently
-    failed block read is re-issued in a later round and a straggling
-    disk's transfers occupy k rounds each, so the charged parallel
-    I/Os honestly include retries, slow hardware and degraded reads —
-    the structures above the {!read}/{!write} API survive unchanged
-    and simply cost more. When no replica can serve a block the
+    Every request runs on one round-by-round scheduler, whatever the
+    machine's configuration: each round moves at most one block per
+    disk, a transiently failed block read is re-issued in a later round
+    and a straggling disk's transfers occupy k rounds each, so the
+    charged parallel I/Os honestly include retries, slow hardware and
+    degraded reads — the structures above the {!read}/{!write} API
+    survive unchanged and simply cost more. On healthy disks a request
+    costs exactly the closed form of {!rounds_for}, the seed
+    simulator's charge. When no replica can serve a block the
     structured exceptions of {!Backend} escape: {!Backend.Disk_failed},
     {!Backend.Retries_exhausted} or {!Backend.Corrupt_block}, each
-    carrying disk, block and round. Without any of these features,
-    requests take the original closed-form fast path and charge
-    bit-identical costs to the pre-backend simulator.
+    carrying disk, block and round.
 
     Blocks are exposed as ['a option array] copies of the {e payload}
     (checksum cells are stripped before the caller sees them): [None]
@@ -95,7 +95,6 @@ val create :
   ?stats:Stats.t ->
   ?trace:Trace.t ->
   ?faults:Fault.spec ->
-  ?backends:(int -> 'a Backend.t) ->
   ?factory:'a Backend.factory ->
   ?replicas:int ->
   ?spares:int ->
@@ -108,15 +107,15 @@ val create :
 (** Fresh machine with all slots empty. Defaults: [model =
     Independent_disks], a private stats object, no tracing, no faults,
     in-memory backends, [replicas = 1], [spares = 0], no integrity
-    envelope. [backends] supplies a custom backend per physical disk
-    (there are [disks + spares] of them, each with [replicas *
-    blocks_per_disk] blocks; capacity and disk index must match);
-    [factory] is the geometry-blind form — [create] calls it with the
-    physical blocks-per-disk and sealed slot width it computed, and
-    falls back to memory disks when it answers [None] ([backends] wins
-    when both are given). [faults] wraps whatever backend each disk
-    has. [replicas] must be between 1 and [disks] so the copies land
-    on distinct disks. *)
+    envelope. [factory] supplies the disks: [create] calls it with the
+    physical blocks-per-disk ([replicas * blocks_per_disk]) and sealed
+    slot width it computed, and uses the per-disk constructor it
+    answers for each of the [disks + spares] physical disks (capacity
+    and disk index must match) — or memory disks when it answers
+    [None]. Disks that already hold blocks (a reopened directory) keep
+    them, and {!allocated_blocks} starts from their count. [faults]
+    wraps whatever backend each disk has. [replicas] must be between 1
+    and [disks] so the copies land on distinct disks. *)
 
 val disks : 'a t -> int
 (** Logical disk count D — the geometry dictionaries address. *)
@@ -155,9 +154,11 @@ val set_sanitize : bool -> unit
 (** Turn the runtime honesty sanitizer on or off (process-global; see
     {!Sanitize}). When on, every machine cross-checks its charging on
     the fly — at most one block per disk per round, every touched
-    block accounted, fast-path closed-form costs re-derived
-    independently, integrity envelopes of the declared size — and
-    raises {!Sanitize.Sanitizer_violation} on the first discrepancy.
+    block accounted, a request that ran without retry, failover or
+    slow disk charging exactly its closed-form rounds (re-derived
+    independently of the scheduler), integrity envelopes of the
+    declared size — and raises {!Sanitize.Sanitizer_violation} on the
+    first discrepancy.
     Off (the default) the checks cost nothing. Results and charged
     costs are identical with the sanitizer on or off. *)
 
@@ -168,7 +169,8 @@ val read : 'a t -> addr list -> (addr * 'a option array) list
     number of parallel read rounds (plus any rounds injected faults,
     retries or replica failover cost). Unwritten blocks read as
     all-empty. The result lists each distinct requested address
-    exactly once, in unspecified order. *)
+    exactly once, in the order of its first occurrence in [addrs] —
+    the same on every machine configuration. *)
 
 val read_one : 'a t -> addr -> 'a option array
 (** Read a single block: exactly one parallel I/O (more under faults
@@ -185,16 +187,17 @@ val read_preferring : 'a t -> (addr * int) list -> (addr * 'a option array) list
     choice made by the caller: block [a] is served by replica [j]
     when that disk answers, failing over to the remaining replicas
     (in home order) otherwise. Duplicate addresses keep their first
-    preference. On an unreplicated machine every preference must be 0
-    and the call is exactly {!read}. The batched query engine uses
-    this to place each fetch on the least-loaded healthy replica
-    disk. *)
+    preference; answers come in first-request order, as for {!read}.
+    On an unreplicated machine every preference must be 0 and the call
+    is exactly {!read}. The batched query engine uses this to place
+    each fetch on the least-loaded healthy replica disk. *)
 
 val write : 'a t -> (addr * 'a option array) list -> unit
 (** [write t blocks] stores the given blocks — all replicas of each —
-    charging the scheduled parallel write rounds. Each array must have
-    length [block_size]; duplicate addresses are an error. The write
-    succeeds as long as at least one replica of every block lands. *)
+    charging the parallel write rounds the scheduler used. Each array
+    must have length [block_size]; duplicate addresses are an error.
+    The write succeeds as long as at least one replica of every block
+    lands. *)
 
 val write_one : 'a t -> addr -> 'a option array -> unit
 
@@ -285,19 +288,6 @@ val scrub : 'a t -> scrub_report
     when it does not. All verification and repair I/O is charged
     through the normal scheduler and reported as the repair budget.
     After a scrub with enough spare capacity, every surviving block
-    is back to full replication. *)
-
-val save_to_file : 'a t -> string -> unit
-(** Persist the machine (geometry, replication layout + every block)
-    to a file with [Marshal]. I/O counters are reset on load; the
-    usual [Marshal] caveats apply (same program version, matching
-    element type). *)
-
-val load_from_file : ?integrity:'a integrity -> string -> 'a t
-(** Inverse of {!save_to_file}. The caller is responsible for the
-    element type matching what was saved (as with any [Marshal] use)
-    and — because closures cannot be marshalled — for passing the
-    same integrity envelope the machine was created with, if any.
-    The loaded machine has plain in-memory backends and an all-healthy
-    health cache — fault schedules, traces and disk death are run-time
-    configuration, not persisted state. *)
+    is back to full replication. The remap table lives in memory
+    only: a machine reopened over the same disk files starts with
+    every replica at its home address. *)

@@ -2,8 +2,8 @@
 
     Every bound the experiments report rests on the simulator charging
     I/O honestly: at most one block per disk per round (independent
-    disks), every touched block accounted for, closed-form fast-path
-    costs agreeing with the scheduler, integrity envelopes of the
+    disks), every touched block accounted for, a clean request charging
+    exactly its closed-form rounds, integrity envelopes of the
     declared size, and internal-memory accounting staying within its
     budget. These invariants hold by construction; the sanitizer
     cross-checks them at run time — the way a race detector or address

@@ -195,17 +195,24 @@ let suite =
 (* --- persistence (appended) --- *)
 
 let test_volume_save_load () =
+  Pdm_io.Store.with_dir @@ fun dir ->
+  let vol = Filename.concat dir "vol" in
   let t = Fs.format small_config in
   let h = Fs.create t "keepme" in
   for i = 0 to 9 do
     ignore (Fs.append t h (block_of_string t (Printf.sprintf "blk %d" i)))
   done;
+  let gone = Fs.create t "gone" in
+  ignore (Fs.append t gone (block_of_string t "stale"));
+  Fs.save t vol;
+  (* Saving again replaces the earlier image: the deleted file must not
+     come back from it. *)
+  checkb "delete" true (Fs.delete t "gone");
   ignore (Fs.create t "other");
-  let path = Filename.temp_file "volume" ".img" in
-  Fs.save t path;
-  let t' = Fs.load small_config path in
-  Sys.remove path;
+  Fs.save t vol;
+  let t' = Fs.load small_config vol in
   check "files survive" 2 (Fs.file_count t');
+  checkb "deleted file stays deleted" true (Fs.open_file t' "gone" = None);
   (match Fs.open_file t' "keepme" with
    | Some h' ->
      check "length" 10 (Fs.handle_length h');
@@ -221,7 +228,19 @@ let test_volume_save_load () =
   checkb "fresh inode" true (Fs.handle_inode h2 > Fs.handle_inode h);
   ignore (Fs.append t' h2 (block_of_string t' "post-load"));
   checkb "writable after load" true
-    (padded "post-load" (Option.get (Fs.read_block t' h2 0)))
+    (padded "post-load" (Option.get (Fs.read_block t' h2 0)));
+  (* A loaded volume lives in its directory: a second load sees the
+     new file. *)
+  let t'' = Fs.load small_config vol in
+  checkb "post-load write on disk" true
+    (match Fs.open_file t'' "newone" with
+     | Some h3 -> padded "post-load" (Option.get (Fs.read_block t'' h3 0))
+     | None -> false);
+  checkb "missing volume rejected" true
+    (try
+       ignore (Fs.load small_config (Filename.concat dir "none"));
+       false
+     with Fs.Fs_error _ -> true)
 
 let suite =
   suite

@@ -523,17 +523,16 @@ let small_workload t =
   Stats.parallel_ios (Stats.snapshot (Pdm.stats t))
 
 let test_sanitize_cost_parity () =
-  (* Identical charged costs with the sanitizer on and off, on both the
-     closed-form fast path and the round scheduler (replicas force the
-     latter). *)
+  (* Identical charged costs with the sanitizer on and off, on an
+     unreplicated and a replicated machine. *)
   let run ~sanitize ~replicas =
     Sanitize.with_sanitize sanitize (fun () ->
         small_workload
           (Pdm.create ~replicas ~disks:4 ~block_size:8 ~blocks_per_disk:16 ()))
   in
-  check "fast path parity" (run ~sanitize:false ~replicas:1)
+  check "r = 1 parity" (run ~sanitize:false ~replicas:1)
     (run ~sanitize:true ~replicas:1);
-  check "scheduled path parity" (run ~sanitize:false ~replicas:2)
+  check "r = 2 parity" (run ~sanitize:false ~replicas:2)
     (run ~sanitize:true ~replicas:2)
 
 let test_sanitize_flag_restored () =
@@ -552,9 +551,11 @@ let violation_check f =
 let test_sanitize_catches_zero_cost_backend () =
   (* A backend claiming cost 0 would let scheduled transfers ride for
      free; the sanitizer refuses to pop it from the queue. *)
-  let backends d = { (Backend.memory ~disk:d ~blocks:16) with cost = 0 } in
+  let zero_cost d = { (Backend.memory ~disk:d ~blocks:16) with cost = 0 } in
   let t : int Pdm.t =
-    Pdm.create ~backends ~disks:2 ~block_size:4 ~blocks_per_disk:16 ()
+    Pdm.create
+      ~factory:(fun ~blocks:_ ~slots:_ -> Some zero_cost)
+      ~disks:2 ~block_size:4 ~blocks_per_disk:16 ()
   in
   Alcotest.(check string) "backend-cost" "backend-cost"
     (Sanitize.with_sanitize true (fun () ->

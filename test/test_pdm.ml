@@ -258,49 +258,55 @@ let suite =
        tc "overflow" `Quick test_memory_overflow;
        tc "unbounded" `Quick test_memory_unbounded ]) ]
 
-(* --- persistence (appended) --- *)
+(* --- persistence: a fresh machine over the same disk files --- *)
+
+module Store = Pdm_io.Store
+
+let file_machine ~dir ~disks ~block_size ~blocks =
+  Pdm.create ~factory:(Store.factory (Store.spec ~dir Store.File)) ~disks
+    ~block_size ~blocks_per_disk:blocks ()
 
 let test_save_load_roundtrip () =
-  let t = mk ~disks:3 ~block_size:4 ~blocks:8 () in
-  Pdm.write_one t { disk = 1; block = 2 } (block_of t [ 7; 8 ]);
-  Pdm.write_one t { disk = 2; block = 5 } (block_of t [ 9 ]);
-  let path = Filename.temp_file "pdm" ".img" in
-  Pdm.save_to_file t path;
-  let t' : int Pdm.t = Pdm.load_from_file path in
-  Sys.remove path;
-  check "disks" 3 (Pdm.disks t');
-  check "block size" 4 (Pdm.block_size t');
-  check "allocated" 2 (Pdm.allocated_blocks t');
-  Alcotest.(check (option int)) "contents" (Some 8)
-    (Pdm.read_one t' { disk = 1; block = 2 }).(1);
-  check "counters reset to the one read" 1 (ios t')
+  Store.with_dir (fun dir ->
+      let t = file_machine ~dir ~disks:3 ~block_size:4 ~blocks:8 in
+      Pdm.write_one t { disk = 1; block = 2 } (block_of t [ 7; 8 ]);
+      Pdm.write_one t { disk = 2; block = 5 } (block_of t [ 9 ]);
+      Pdm.barrier t;
+      let t' : int Pdm.t = file_machine ~dir ~disks:3 ~block_size:4 ~blocks:8 in
+      check "allocated counted from the disks" 2 (Pdm.allocated_blocks t');
+      Alcotest.(check (option int)) "contents" (Some 8)
+        (Pdm.read_one t' { disk = 1; block = 2 }).(1);
+      check "counters start at the one read" 1 (ios t'))
 
 let test_save_load_dictionary_survives () =
-  (* End-to-end: a dictionary persisted and recovered across machines. *)
+  (* End-to-end: a dictionary recovered by a second machine over the
+     first one's disk files. *)
   let module Basic = Pdm_dictionary.Basic_dict in
   let cfg =
     Basic.plan ~universe:(1 lsl 16) ~capacity:100 ~block_words:32 ~degree:4
       ~value_bytes:8 ~seed:3 ()
   in
-  let m1 =
-    Pdm.create ~disks:4 ~block_size:32
-      ~blocks_per_disk:(Basic.blocks_per_disk cfg) ()
+  let open_machine dir =
+    file_machine ~dir ~disks:4 ~block_size:32
+      ~blocks:(Basic.blocks_per_disk cfg)
   in
-  let d1 = Basic.create ~machine:m1 ~disk_offset:0 ~block_offset:0 cfg in
-  for k = 0 to 99 do
-    Basic.insert d1 k (Bytes.of_string (Printf.sprintf "%08d" k))
-  done;
-  let path = Filename.temp_file "pdm_dict" ".img" in
-  Pdm.save_to_file m1 path;
-  let m2 : int Pdm.t = Pdm.load_from_file path in
-  Sys.remove path;
-  let d2 = Basic.recover ~machine:m2 ~disk_offset:0 ~block_offset:0 cfg in
-  check "size recovered across processes" 100 (Basic.size d2);
-  for k = 0 to 99 do
-    Alcotest.(check (option string)) "value"
-      (Some (Printf.sprintf "%08d" k))
-      (Option.map Bytes.to_string (Basic.find d2 k))
-  done
+  Store.with_dir (fun dir ->
+      let m1 = open_machine dir in
+      let d1 = Basic.create ~machine:m1 ~disk_offset:0 ~block_offset:0 cfg in
+      for k = 0 to 99 do
+        Basic.insert d1 k (Bytes.of_string (Printf.sprintf "%08d" k))
+      done;
+      Pdm.barrier m1;
+      let d2 =
+        Basic.recover ~machine:(open_machine dir) ~disk_offset:0
+          ~block_offset:0 cfg
+      in
+      check "size recovered across processes" 100 (Basic.size d2);
+      for k = 0 to 99 do
+        Alcotest.(check (option string)) "value"
+          (Some (Printf.sprintf "%08d" k))
+          (Option.map Bytes.to_string (Basic.find d2 k))
+      done)
 
 let suite =
   suite
@@ -440,6 +446,24 @@ let test_cache_flush () =
   ignore (Cache.read c [ { Pdm.disk = 0; block = 0 } ]);
   check "re-fetched" 2 (ios t)
 
+let test_cache_replication_invisible () =
+  (* A cache smaller than a batch keeps the blocks fetched last, so the
+     order [Pdm.read] answers in decides what stays resident. The order
+     must not depend on replication: the same read sequence charges the
+     same I/Os on an r = 1 and an r = 2 machine. *)
+  let a i = { Pdm.disk = i mod 4; block = i / 4 } in
+  let run replicas =
+    let t : int Pdm.t =
+      Pdm.create ~replicas ~disks:4 ~block_size:8 ~blocks_per_disk:16 ()
+    in
+    let c = Cache.create t ~capacity_blocks:2 in
+    List.iter
+      (fun batch -> ignore (Cache.read c (List.map a batch)))
+      [ [ 0; 1; 2 ]; [ 0 ]; [ 3; 4; 5; 6 ]; [ 4 ]; [ 6 ]; [ 1; 2 ] ];
+    ios t
+  in
+  check "r = 1 and r = 2 charge alike" (run 1) (run 2)
+
 let suite =
   suite
   @ [ ("pdm.cache",
@@ -448,7 +472,9 @@ let suite =
          Alcotest.test_case "write-through" `Quick test_cache_write_through;
          Alcotest.test_case "batch larger than capacity" `Quick
            test_cache_batch_larger_than_capacity;
-         Alcotest.test_case "flush" `Quick test_cache_flush ]) ]
+         Alcotest.test_case "flush" `Quick test_cache_flush;
+         Alcotest.test_case "replication does not change eviction" `Quick
+           test_cache_replication_invisible ]) ]
 
 (* --- write_many (appended) --- *)
 
@@ -466,12 +492,11 @@ let suite =
   @ [ ("pdm.striping_more",
        [ Alcotest.test_case "write_many" `Quick test_striping_write_many ]) ]
 
-(* --- cost-model properties on the scheduler path (appended) ---
+(* --- cost-model properties with a trace attached (appended) ---
 
    [rounds_for] must equal the rounds [read] actually charges in both
-   machine models, whether the request runs on the closed-form fast
-   path or on the round-by-round scheduler (trace attached), and
-   duplicate addresses must coalesce identically on all four paths. *)
+   machine models, with or without a trace recording every round, and
+   duplicate addresses must coalesce identically either way. *)
 
 let prop_head_read_charges_rounds_for =
   QCheck.Test.make ~name:"head model: read charges exactly rounds_for"
@@ -490,11 +515,16 @@ let scheduled_read_matches model addrs =
   let expected = Pdm.rounds_for t addrs in
   let result = Pdm.read t addrs in
   (* Scheduler charges exactly the closed form when disks are healthy,
-     the trace saw one event per round, and coalescing still returns
-     each distinct address exactly once. *)
+     the trace saw one event per round, and coalescing returns each
+     distinct address exactly once, in first-request order. *)
+  let distinct =
+    List.fold_left
+      (fun acc a -> if List.mem a acc then acc else a :: acc)
+      [] addrs
+  in
   ios t = expected
   && Trace.recorded (Option.get (Pdm.trace t)) = expected
-  && List.length result = List.length (List.sort_uniq compare addrs)
+  && List.map fst result = List.rev distinct
 
 let prop_scheduled_read_charges_rounds_for =
   QCheck.Test.make
@@ -512,9 +542,9 @@ let prop_duplicates_coalesce =
   QCheck.Test.make ~name:"duplicated request list costs the same" ~count:200
     addrs_arbitrary
     (fun addrs ->
-      let cost scheduled addrs =
+      let cost traced addrs =
         let t : int Pdm.t =
-          if scheduled then
+          if traced then
             Pdm.create ~trace:(Trace.create ()) ~disks:4 ~block_size:8
               ~blocks_per_disk:8 ()
           else mk ~disks:4 ~blocks:8 ()
