@@ -817,145 +817,6 @@ let run_serve dict n queries clients batch deadline duty insert_frac cache
            [ "answers verified"; (if verified then "yes" else "NO") ] ]);
     `Ok ()
 
-(* serve --shards S: the same duty-cycled clients, but routed through
-   the sharded placement tier — one machine+engine per shard, lookups
-   scatter-gathered per round, answers checked against a reference
-   table. --kill here names a shard, not a disk. *)
-
-module Cluster = Pdm_cluster.Cluster
-module Topology = Pdm_cluster.Topology
-module Placement = Pdm_cluster.Placement
-
-(* Both serve paths report failures through [serve_guard]: the engine
-   path raises [Engine.Request_failed] on its own, the cluster path
-   wraps each per-request call here so a failed request surfaces with
-   its id and key instead of dissolving into an anonymous batch
-   error. *)
-let guard_request ~id ~key f =
-  Engine.guard ~id ~key ~describe:describe_failure f
-
-(* A batch failure is attributed to the oldest request in the round
-   whose replica set contains the unavailable shard (falling back to
-   the round's first request), mirroring the engine's oldest-waiter
-   attribution. *)
-let guard_batch ~topo ~seed ~replicas reqs f =
-  try f ()
-  with e -> (
-    match describe_failure e with
-    | None -> raise e
-    | Some _ ->
-      let failing_shard =
-        match e with Cluster.Unavailable sid -> Some sid | _ -> None
-      in
-      let culprit =
-        match failing_shard with
-        | Some sid ->
-          List.find_opt
-            (fun (_, k) ->
-              List.mem sid (Placement.replicas topo ~seed ~r:replicas k))
-            reqs
-        | None -> None
-      in
-      (match (culprit, reqs) with
-       | Some (id, key), _ | None, (id, key) :: _ ->
-         raise (Engine.Request_failed { id; key; error = e })
-       | None, [] -> raise e))
-
-let run_serve_cluster shards n queries clients duty insert_frac replicas
-    kill seed =
-  if duty <= 0.0 || duty > 1.0 then
-    `Error (false, "--duty must be in (0, 1]")
-  else if queries < 1 || clients < 1 || n < 2 then
-    `Error (false, "--requests, --clients and -n must be positive")
-  else if replicas > shards then
-    `Error (false, "--replicas cannot exceed --shards")
-  else
-    serve_guard @@ fun () ->
-    let payload k = Common.value_bytes_of 8 k in
-    let config =
-      { Cluster.default_config with
-        Cluster.replicas;
-        shard_capacity = max 256 (3 * n * replicas / shards);
-        seed }
-    in
-    let topo = Topology.standard ~shards in
-    let c = Cluster.create ~config topo in
-    let members, _ =
-      Sampling.disjoint_pair (Prng.create seed)
-        ~universe:config.Cluster.universe ~count:n
-    in
-    let prepop = Array.sub members 0 (n / 2) in
-    let fresh = ref (Array.to_list (Array.sub members (n / 2) (n - (n / 2)))) in
-    let reference = Hashtbl.create n in
-    Array.iter
-      (fun k ->
-        Cluster.insert c k (payload k);
-        Hashtbl.replace reference k (payload k))
-      prepop;
-    Option.iter (fun sid -> Cluster.kill_shard c sid) kill;
-    let rng = Prng.create (seed + 99) in
-    let submitted = ref 0 and inserts = ref 0 and lookups = ref 0 in
-    let verified = ref true in
-    while !submitted < queries do
-      (* one client round: inserts go direct, lookups gather into one
-         scatter-gather batch *)
-      let round_keys = ref [] in
-      for _ = 1 to clients do
-        if !submitted < queries && Prng.float rng 1.0 < duty then begin
-          let id = !submitted in
-          incr submitted;
-          match !fresh with
-          | k :: rest when Prng.float rng 1.0 < insert_frac ->
-            fresh := rest;
-            incr inserts;
-            guard_request ~id ~key:k (fun () ->
-                Cluster.insert c k (payload k));
-            Hashtbl.replace reference k (payload k)
-          | _ ->
-            incr lookups;
-            round_keys :=
-              (id, prepop.(Prng.int rng (Array.length prepop)))
-              :: !round_keys
-        end
-      done;
-      let reqs = List.rev !round_keys in
-      let keys = List.map snd reqs in
-      let answers =
-        guard_batch ~topo ~seed:config.Cluster.seed ~replicas reqs
-          (fun () -> Cluster.find_batch c keys)
-      in
-      List.iter2
-        (fun (_, k) got ->
-          if got <> Hashtbl.find_opt reference k then verified := false)
-        reqs answers
-    done;
-    let st = Cluster.stats c in
-    let i = Table.icell in
-    print_table
-      (Table.make ~title:"serve: sharded placement tier"
-         ~header:[ "metric"; "value" ]
-         ~notes:
-           [ Printf.sprintf
-               "%d clients at duty %.2f over %d shards, r = %d%s" clients
-               duty shards replicas
-               (match kill with
-                | Some sid -> Printf.sprintf ", shard %d killed" sid
-                | None -> "") ]
-         [ [ "requests served"; i !submitted ];
-           [ "lookups / inserts";
-             Printf.sprintf "%d / %d" !lookups !inserts ];
-           [ "stored keys"; i (Cluster.size c) ];
-           [ "scatter-gather batches"; i st.Cluster.batches ];
-           [ "batch rounds (max shard)"; i st.Cluster.batch_rounds ];
-           [ "failover reads"; i st.Cluster.failovers ];
-           [ "shard loads";
-             String.concat " "
-               (List.map
-                  (fun (id, sz) -> Printf.sprintf "%d:%d" id sz)
-                  (Cluster.shard_sizes c)) ];
-           [ "answers verified"; (if !verified then "yes" else "NO") ] ]);
-    `Ok ()
-
 let serve_cmd =
   let doc = "serve a duty-cycled client workload through the query engine" in
   let dict_arg =
@@ -1018,15 +879,6 @@ let serve_cmd =
   let seed_arg' =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed.")
   in
-  let shards_arg =
-    Arg.(value & opt int 0
-         & info [ "shards" ] ~docv:"S"
-             ~doc:"Serve through a sharded cluster of S shards instead of \
-                   a single machine (0 = single machine). With shards, \
-                   $(b,--kill) names a shard and $(b,--dict), \
-                   $(b,--batch), $(b,--deadline), $(b,--cache) and \
-                   $(b,--spares) are ignored.")
-  in
   let backend_arg' =
     Arg.(value & opt string "mem"
          & info [ "backend" ] ~docv:"KIND" ~doc:backend_conv_doc)
@@ -1036,24 +888,16 @@ let serve_cmd =
     Term.(
       ret
         (const (fun dict n q clients batch deadline duty ins cache r s kill
-                    seed shards backend csv ->
+                    seed backend csv ->
              if csv then emit := Table.print_csv;
              match resolve_backend backend with
              | Error m -> `Error (false, m)
-             | Ok _ when shards > 0 && backend <> "mem" ->
-               `Error
-                 (false,
-                  "--backend file|mmap serves a single machine; the \
-                   sharded tier stays on memory disks")
-             | Ok _ when shards > 0 ->
-               run_serve_cluster shards n q clients duty ins r kill seed
              | Ok factory ->
                run_serve dict n q clients batch deadline duty ins cache r s
                  kill seed factory)
         $ dict_arg $ n_arg' $ requests_arg $ clients_arg $ batch_arg
         $ deadline_arg $ duty_arg $ insert_arg $ cache_arg $ replicas_arg
-        $ spares_arg $ kill_arg $ seed_arg' $ shards_arg $ backend_arg'
-        $ csv_arg))
+        $ spares_arg $ kill_arg $ seed_arg' $ backend_arg' $ csv_arg))
 
 (* --- sim: deterministic simulation testing — differential model
    checking, systematic crash-schedule exploration, shrinking, and

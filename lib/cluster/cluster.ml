@@ -2,7 +2,6 @@ module Pdm = Pdm_sim.Pdm
 module Journal = Pdm_sim.Journal
 module Trace = Pdm_sim.Trace
 module Sanitize = Pdm_sim.Sanitize
-module Prng = Pdm_util.Prng
 module Opd = Pdm_dictionary.One_probe_dynamic
 module Engine = Pdm_engine.Engine
 module IntSet = Set.Make (Int)
@@ -114,35 +113,15 @@ let crash_survives : Journal.crash_point -> bool = function
   | After_commit | During_apply _ | After_apply -> true
 
 let make_state cfg (s : Topology.shard) =
-  let dcfg =
-    { Opd.universe = cfg.universe; capacity = cfg.shard_capacity;
-      degree = cfg.degree; sigma_bits = 8 * cfg.value_bytes;
-      levels = cfg.levels; v_factor = 3;
-      (* keyed by stable shard id, so a shard's structure seed does
-         not depend on when it joined *)
-      seed = Prng.hash2 ~seed:cfg.seed 0x5eed s.id }
-  in
-  let dict = Opd.create ~journaled:cfg.journaled ~block_words:cfg.block_words
-      dcfg
+  let { Shard.dict; engine; _ } =
+    Shard.create ~journaled:cfg.journaled ~universe:cfg.universe
+      ~capacity:cfg.shard_capacity ~block_words:cfg.block_words
+      ~value_bytes:cfg.value_bytes ~degree:cfg.degree ~levels:cfg.levels
+      ~seed:cfg.seed ~batch:cfg.batch s.id
   in
   if cfg.trace_rounds > 0 then
     Pdm.set_trace (Opd.machine dict)
       (Some (Trace.create ~shard:s.id ~capacity:cfg.trace_rounds ()));
-  let engine =
-    Engine.create
-      ~config:
-        { Engine.max_batch = max 1 cfg.batch;
-          (* batches close by size or explicit drain, never by aging *)
-          deadline_rounds = max_int / 2; cache_blocks = 0 }
-      { Engine.name = Printf.sprintf "shard-%d" s.id;
-        machine = Opd.machine dict;
-        lookup =
-          (fun key ->
-            Engine.Fetch
-              ( Opd.probe_addresses dict key,
-                fun blocks -> Engine.Done (Opd.find_in dict key blocks) ));
-        insert = Some (Opd.insert dict); delete = Some (Opd.delete dict) }
-  in
   { id = s.id; dict; engine; alive = true; applied = IntMap.empty;
     repairs = [] }
 
@@ -627,24 +606,17 @@ let find_batch t keys =
         let s = state t id in
         let entries = List.rev !cell in
         let before = Engine.round s.engine in
+        (* a storage failure leaves [serve] as an exception, before
+           the exchange is recorded as replied or missed *)
         let serve () =
-          List.iter
-            (fun (_, key) ->
-              ignore (Engine.submit s.engine (Engine.Lookup key)))
-            entries;
-          Engine.drain s.engine;
-          Engine.take_outcomes s.engine
+          List.map
+            (function
+              | Ok (o : Engine.outcome) -> o.Engine.value | Error e -> raise e)
+            (Engine.run s.engine
+               (List.map (fun (_, key) -> Engine.Lookup key) entries))
         in
         let fill outs =
-          match
-            List.iter2
-              (fun (pos, _) (o : Engine.outcome) ->
-                answers.(pos) <- o.Engine.value)
-              entries outs
-          with
-          | () -> ()
-          | exception Invalid_argument _ ->
-            invalid_arg "Cluster.find_batch: engine answer arity"
+          List.iter2 (fun (pos, _) v -> answers.(pos) <- v) entries outs
         in
         (match t.net with
          | None -> fill (serve ())

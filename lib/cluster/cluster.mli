@@ -1,6 +1,7 @@
-(** The sharded cluster front end: one journaled one-probe-dynamic
-    dictionary + batched engine per shard, deterministic rendezvous
-    routing, replica failover, and journal-recoverable migrations.
+(** The sharded cluster front end: one journaled {!Shard} (one-probe
+    dynamic dictionary + batched engine) per shard, deterministic
+    rendezvous routing, replica failover, and journal-recoverable
+    migrations.
 
     Every key lives on the [replicas] shards {!Placement} assigns it
     (distinct failure domains where the topology allows). Updates

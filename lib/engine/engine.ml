@@ -66,12 +66,12 @@ type t = {
   mutable round : int;
   mutable outcomes : outcome list; (* completion order, reversed *)
   disk_load : int array;           (* cumulative fetches per physical disk *)
-  mutable util : int list;         (* blocks per fetch round, reversed *)
   (* counters *)
   mutable served : int;
   mutable batches : int;
   mutable fetch_rounds : int;
   mutable insert_rounds : int;
+  mutable executor_rounds : int;   (* fetch_all iterations *)
   mutable blocks_fetched : int;
   mutable coalesced : int;
   mutable cache_hits : int;
@@ -92,9 +92,9 @@ let create ?(config = default_config) dict =
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
     disk_load = Array.make (Pdm.physical_disks dict.machine) 0;
-    util = []; served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
-    blocks_fetched = 0; coalesced = 0; cache_hits = 0; total_latency = 0;
-    max_latency = 0;
+    served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
+    executor_rounds = 0; blocks_fetched = 0; coalesced = 0; cache_hits = 0;
+    total_latency = 0; max_latency = 0;
   }
 
 let dict t = t.dict
@@ -116,13 +116,9 @@ let stats t =
     max_latency = t.max_latency;
   }
 
-let utilization_histogram t = Array.of_list (List.rev t.util)
-
 let mean_utilization t =
-  match t.util with
-  | [] -> 0.0
-  | l ->
-    float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
+  if t.executor_rounds = 0 then 0.0
+  else float_of_int t.blocks_fetched /. float_of_int t.executor_rounds
 
 (* pdm-lint: domain local — outcome list swap on the engine's own state; one serving domain owns t *)
 let take_outcomes t =
@@ -147,13 +143,6 @@ let wrap_failure ~id ~key error =
   match Backend.describe error with
   | Some _ -> Request_failed { id; key; error }
   | None -> error
-
-let guard ~id ~key ?(describe = Backend.describe) f =
-  try f ()
-  with e -> (
-    match describe e with
-    | Some _ -> raise (Request_failed { id; key; error = e })
-    | None -> raise e)
 
 (* A removed key answers the empty value, an absent one answers
    [None] — so delete outcomes carry their found/not-found bit through
@@ -202,7 +191,7 @@ let rec settle tbl st =
    healthy replica left is issued anyway on replica 0 so the machine's
    structured error surfaces — attributed to the oldest waiting
    request. *)
-(* pdm-lint: domain local — round/util counters and scratch tables owned by the engine's single domain *)
+(* pdm-lint: domain local — round counters and scratch tables owned by the engine's single domain *)
 let fetch_all t tbl wanted =
   let m = t.dict.machine in
   let remaining = ref wanted in
@@ -282,8 +271,8 @@ let fetch_all t tbl wanted =
     let delta = max 1 (Pdm.rounds_total m - before) in
     t.round <- t.round + delta;
     t.fetch_rounds <- t.fetch_rounds + delta;
+    t.executor_rounds <- t.executor_rounds + 1;
     t.blocks_fetched <- t.blocks_fetched + List.length fetched;
-    t.util <- List.length fetched :: t.util;
     List.iter
       (fun (_, _, d) -> t.disk_load.(d) <- t.disk_load.(d) + 1)
       issue;
@@ -408,3 +397,30 @@ let submit t request =
   Queue.add { id; request; submitted = t.round } t.queue;
   pump t;
   id
+
+(* Tickets are consecutive, so request [i] holds ticket [first + i]. A
+   batch runs as soon as the queue is due, so a failing batch took every
+   queued request: none is left to run on a later call. *)
+let run t requests =
+  let first = t.next_id in
+  let failure =
+    match
+      List.iter (fun r -> ignore (submit t r)) requests;
+      drain t
+    with
+    | () -> None
+    | exception (Request_failed _ as e) -> Some e
+  in
+  let answers = Array.make (List.length requests) None in
+  List.iter
+    (fun (o : outcome) ->
+      let i = o.id - first in
+      if i >= 0 && i < Array.length answers then answers.(i) <- Some o)
+    (take_outcomes t);
+  List.mapi
+    (fun i _ ->
+      match (answers.(i), failure) with
+      | Some o, _ -> Ok o
+      | None, Some e -> Error e
+      | None, None -> invalid_arg "Engine.run: a request went unanswered")
+    requests

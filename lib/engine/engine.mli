@@ -13,14 +13,16 @@
     optional {!Pdm_sim.Cache}, and assigns every remaining fetch to
     the least-loaded healthy replica disk; a round executor then packs
     at most one block per disk per round, recording per-request
-    latency and a per-round disk-utilization histogram.
+    latency and mean disk utilization.
 
     The engine never touches a dictionary's own lookup path — per-key
     {!Pdm_dictionary.One_probe_static.find} etc. charge exactly the
     I/Os they always did. Dictionaries participate through a
     {!type:dict} record whose [lookup] returns a {!type:step}
-    (a probe plan with a decode continuation), so the dictionary
-    library does not depend on the engine. *)
+    (a probe plan with a decode continuation). {!Plans} builds that
+    record, once, for each probe-plan dictionary; it lives in this
+    library, so the dictionary library still does not depend on the
+    engine. *)
 
 type addr = Pdm_sim.Pdm.addr
 
@@ -85,16 +87,6 @@ exception Request_failed of { id : int; key : int; error : exn }
     request [id]; [error] is the underlying exception. Requests of the
     interrupted batch that were not yet completed are dropped. *)
 
-val guard :
-  id:int -> key:int -> ?describe:(exn -> string option) ->
-  (unit -> 'a) -> 'a
-(** [guard ~id ~key f] runs [f], re-raising any exception that
-    [describe] recognizes (default {!Pdm_sim.Backend.describe}) as
-    {!Request_failed} carrying the request's [id] and [key] — the one
-    reporting path for every serving loop, whether requests go through
-    an engine, a cluster, or a direct dictionary call. Unrecognized
-    exceptions propagate untouched. *)
-
 val deleted_value : bool -> Bytes.t option
 (** How delete outcomes encode their found/not-found bit in
     [outcome.value]: [Some Bytes.empty] for a removed key, [None] for
@@ -129,6 +121,14 @@ val idle_round : t -> unit
 val take_outcomes : t -> outcome list
 (** Completed requests since the last call, sorted by ticket. *)
 
+val run : t -> request list -> (outcome, exn) result list
+(** Submit [requests] in order, {!drain}, and answer each in request
+    order. A {!Request_failed} yields [Error] carrying it for every
+    request it left unanswered (requests completed before it, such as
+    the failed batch's updates, stay [Ok]); the engine is then idle and
+    the next [run] answers only its own requests. Other exceptions
+    propagate. The one submit/drain/answer loop of every shard server. *)
+
 val round : t -> int
 (** The engine clock: fetch rounds + insert rounds + idle rounds. *)
 
@@ -149,9 +149,6 @@ type stats = {
 
 val stats : t -> stats
 
-val utilization_histogram : t -> int array
-(** Blocks fetched in each executor round, in order. Entry [i] ≤ D by
-    construction (one block per disk per round). *)
-
 val mean_utilization : t -> float
-(** Mean blocks per fetch round; compare against D for bandwidth. *)
+(** Mean blocks per executor round (each ≤ D by construction: one
+    block per disk per round); compare against D for bandwidth. *)

@@ -1,5 +1,6 @@
 module Pdm = Pdm_sim.Pdm
 module Engine = Pdm_engine.Engine
+module Plans = Pdm_engine.Plans
 module Basic = Pdm_dictionary.Basic_dict
 module Fragmented = Pdm_dictionary.Fragmented
 module Cascade = Pdm_dictionary.Dynamic_cascade
@@ -210,9 +211,9 @@ let btree ?(scale = default_scale) ?factory () =
     size = (fun () -> Btree.size t); stats = Pdm.stats machine; value_bytes }
 
 (* --- engine adapters: probe-plan dictionaries for the batched query
-   engine. The [dict] record carries the plan/decode split; [direct_find]
-   is the unchanged per-key path, kept alongside so experiments can
-   verify the engine returns identical answers. --- *)
+   engine. [Plans] gives the plan/decode split; [direct_find] is the
+   unchanged per-key path, kept alongside so experiments can verify the
+   engine returns identical answers. --- *)
 
 type engine_adapter = {
   engine_dict : Engine.dict;
@@ -230,15 +231,7 @@ let engine_one_probe_static ?(scale = default_scale) ?(replicas = 1)
     Ops.build ?factory ~replicas ~spares ~block_words:scale.block_words cfg
       data
   in
-  let lookup key =
-    Engine.Fetch
-      ( Ops.probe_addresses t key,
-        fun blocks -> Engine.Done (Ops.find_in t key blocks) )
-  in
-  { engine_dict =
-      { Engine.name = "one-probe static (4.2)"; machine = Ops.machine t;
-        lookup; insert = None; delete = None };
-    direct_find = Ops.find t }
+  { engine_dict = Plans.one_probe_static t; direct_find = Ops.find t }
 
 let engine_one_probe_dynamic ?(scale = default_scale) ?(replicas = 1)
     ?(spares = 0) ?factory () =
@@ -248,15 +241,7 @@ let engine_one_probe_dynamic ?(scale = default_scale) ?(replicas = 1)
         sigma_bits = 8 * value_bytes; levels = 8; v_factor = 3;
         seed = scale.seed }
   in
-  let lookup key =
-    Engine.Fetch
-      ( Opd.probe_addresses t key,
-        fun blocks -> Engine.Done (Opd.find_in t key blocks) )
-  in
-  { engine_dict =
-      { Engine.name = "one-probe dynamic (6)"; machine = Opd.machine t;
-        lookup; insert = Some (Opd.insert t); delete = Some (Opd.delete t) };
-    direct_find = Opd.find t }
+  { engine_dict = Plans.one_probe_dynamic t; direct_find = Opd.find t }
 
 let engine_cascade ?(scale = default_scale) ?(replicas = 1) ?(spares = 0)
     ?factory () =
@@ -266,28 +251,7 @@ let engine_cascade ?(scale = default_scale) ?(replicas = 1) ?(spares = 0)
         degree = 15; sigma_bits = 8 * value_bytes; epsilon = 1.0;
         v_factor = 3; seed = scale.seed }
   in
-  (* Two-phase plan: membership + A₁ first; a hit at a deeper level
-     fetches that level's candidate blocks in a second step, which the
-     engine coalesces with the rest of its batch. *)
-  let lookup key =
-    Engine.Fetch
-      ( Cascade.first_round_addresses t key,
-        fun blocks ->
-          match Cascade.membership_in t key blocks with
-          | None -> Engine.Done None
-          | Some (1, head) ->
-            Engine.Done (Cascade.decode_in t key ~level:1 ~head blocks)
-          | Some (level, head) ->
-            Engine.Fetch
-              ( Cascade.level_addresses t key ~level,
-                fun blocks2 ->
-                  Engine.Done (Cascade.decode_in t key ~level ~head blocks2) )
-      )
-  in
-  { engine_dict =
-      { Engine.name = "cascade (4.3)"; machine = Cascade.machine t; lookup;
-        insert = Some (Cascade.insert t); delete = Some (Cascade.delete t) };
-    direct_find = Cascade.find t }
+  { engine_dict = Plans.cascade t; direct_find = Cascade.find t }
 
 let all ?(scale = default_scale) () =
   [ basic ~scale (); small_block ~scale (); fragmented ~scale ();

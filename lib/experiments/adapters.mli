@@ -54,8 +54,8 @@ val all : ?scale:scale -> unit -> t list
 (** {2 Engine adapters}
 
     Probe-plan views of the dictionaries for the batched query engine
-    ({!Pdm_engine.Engine}). [engine_dict.lookup] returns the probe
-    plan + decode continuation; [direct_find] is the unchanged per-key
+    ({!Pdm_engine.Engine}). [engine_dict] is the dictionary's
+    {!Pdm_engine.Plans} plan; [direct_find] is the unchanged per-key
     path so experiments can check the engine's answers against it. *)
 
 type engine_adapter = {

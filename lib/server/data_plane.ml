@@ -2,8 +2,8 @@ module Pdm = Pdm_sim.Pdm
 module Opd = Pdm_dictionary.One_probe_dynamic
 module Engine = Pdm_engine.Engine
 module Placement = Pdm_cluster.Placement
+module Shard = Pdm_cluster.Shard
 module Topology = Pdm_cluster.Topology
-module Prng = Pdm_util.Prng
 
 type config = {
   shards : int;
@@ -24,40 +24,14 @@ let default_config =
     value_bytes = 8; degree = 5; levels = 2; replicas = 2; spares = 1;
     seed = 42; max_batch = 64 }
 
-type shard = { id : int; dict : Opd.t; engine : Engine.t }
+type t = { cfg : config; topo : Topology.t; shard_tbl : Shard.t array }
 
-type t = { cfg : config; topo : Topology.t; shard_tbl : shard array }
-
-(* Mirrors the cluster tier's per-shard construction: structure seed
-   keyed by stable shard id, engine batches closed by size or explicit
-   drain, never by aging. *)
 let make_shard cfg id =
-  let dcfg =
-    { Opd.universe = cfg.universe; capacity = cfg.shard_capacity;
-      degree = cfg.degree; sigma_bits = 8 * cfg.value_bytes;
-      levels = cfg.levels; v_factor = 3;
-      seed = Prng.hash2 ~seed:cfg.seed 0x5eed id }
-  in
-  let dict =
-    Opd.create ~replicas:cfg.replicas ~spares:cfg.spares
-      ~block_words:cfg.block_words dcfg
-  in
-  let engine =
-    Engine.create
-      ~config:
-        { Engine.max_batch = max 1 cfg.max_batch;
-          deadline_rounds = max_int / 2; cache_blocks = 0 }
-      { Engine.name = Printf.sprintf "serve-shard-%d" id;
-        machine = Opd.machine dict;
-        lookup =
-          (fun key ->
-            Engine.Fetch
-              ( Opd.probe_addresses dict key,
-                fun blocks -> Engine.Done (Opd.find_in dict key blocks) ));
-        insert = Some (Opd.insert dict);
-        delete = Some (Opd.delete dict) }
-  in
-  { id; dict; engine }
+  Shard.create ~replicas:cfg.replicas ~spares:cfg.spares
+    ~universe:cfg.universe ~capacity:cfg.shard_capacity
+    ~block_words:cfg.block_words ~value_bytes:cfg.value_bytes
+    ~degree:cfg.degree ~levels:cfg.levels ~seed:cfg.seed ~batch:cfg.max_batch
+    id
 
 let create cfg =
   if cfg.shards < 1 then invalid_arg "Data_plane: shards must be >= 1";
@@ -90,33 +64,8 @@ let result_of_outcome (o : Engine.outcome) =
   | Engine.Delete _ -> Wire.Deleted (o.value <> None)
 
 let execute t ~shard ops =
-  let sh = get_shard t shard in
-  (* Submission can run batches early (queue reaching max_batch), so a
-     storage failure may surface mid-submit; the ids admitted so far
-     still produce outcomes. *)
-  let ids = Array.make (List.length ops) (-1) in
-  let failure = ref None in
-  (try
-     List.iteri
-       (fun i op -> ids.(i) <- Engine.submit sh.engine (request_of_op op))
-       ops;
-     Engine.drain sh.engine
-   with Engine.Request_failed _ as e -> failure := Some e);
-  let outcomes = Hashtbl.create 64 in
-  List.iter
-    (fun (o : Engine.outcome) -> Hashtbl.replace outcomes o.id o)
-    (Engine.take_outcomes sh.engine);
-  let missing () =
-    match !failure with
-    | Some e -> e
-    | None -> Engine.Request_failed { id = -1; key = -1; error = Not_found }
-  in
-  List.mapi
-    (fun i _op ->
-      match Hashtbl.find_opt outcomes ids.(i) with
-      | Some o -> Ok (result_of_outcome o)
-      | None -> Error (missing ()))
-    ops
+  List.map (Result.map result_of_outcome)
+    (Engine.run (get_shard t shard).engine (List.map request_of_op ops))
 
 let kill_disk t ~shard ~disk =
   let sh = get_shard t shard in
@@ -129,7 +78,7 @@ let scrub t ~shard =
 let shard_stats t =
   Array.to_list
     (Array.map
-       (fun sh ->
+       (fun (sh : Shard.t) ->
          (let s = Engine.stats sh.engine in
           { Wire.shard = sh.id;
             rounds = Pdm.rounds_total (Opd.machine sh.dict);
@@ -139,5 +88,6 @@ let shard_stats t =
 
 let blocks_fetched t =
   Array.fold_left
-    (fun acc sh -> acc + (Engine.stats sh.engine).Engine.blocks_fetched)
+    (fun acc (sh : Shard.t) ->
+      acc + (Engine.stats sh.engine).Engine.blocks_fetched)
     0 t.shard_tbl

@@ -1,6 +1,8 @@
-(** The daemon's deterministic core: one journal-free one-probe
-    dynamic dictionary + batched engine per shard behind the same
-    weighted-rendezvous placement the cluster tier uses.
+(** The daemon's deterministic core: one journal-free
+    {!Pdm_cluster.Shard} (one-probe dynamic dictionary + batched
+    engine, built by the cluster tier's own shard constructor) per
+    shard, behind the same weighted-rendezvous placement the cluster
+    tier uses.
 
     Everything here is seeded and simulation-backed — no sockets, no
     clocks, no randomness — so the multi-domain determinism claim
@@ -52,10 +54,10 @@ val shard_of_key : t -> int -> int
     standard topology of [config.shards] shards. *)
 
 val execute : t -> shard:int -> Wire.op list -> (Wire.result_, exn) result list
-(** Run one batch of operations on one shard, serialized through the
-    shard's engine, answers in op order. A structured storage failure
-    mid-batch yields [Error] for the failed op and every op of the
-    batch that had not completed — never a silent drop. Non-storage
+(** Run one batch of operations on one shard through
+    {!Pdm_engine.Engine.run}, answers in op order. A structured storage
+    failure mid-batch yields [Error] for the failed op and every op of
+    the batch that had not completed — never a silent drop. Non-storage
     exceptions propagate. *)
 
 val kill_disk : t -> shard:int -> disk:int -> unit

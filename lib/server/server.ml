@@ -210,8 +210,8 @@ let rec write_all fd buf off len =
    failed write just retires the connection *)
 let send_reply (t : t) conn rep_frame =
   if conn.alive then
-    try write_all conn.fd (Wire.encode_reply rep_frame) 0
-          (Bytes.length (Wire.encode_reply rep_frame))
+    let frame = Wire.encode_reply rep_frame in
+    try write_all conn.fd frame 0 (Bytes.length frame)
     with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
       conn.alive <- false;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());

@@ -2,6 +2,7 @@ module Pdm = Pdm_sim.Pdm
 module Journal = Pdm_sim.Journal
 module Fault = Pdm_sim.Fault
 module Engine = Pdm_engine.Engine
+module Plans = Pdm_engine.Plans
 module Basic = Pdm_dictionary.Basic_dict
 module Ops = Pdm_dictionary.One_probe_static
 module Opd = Pdm_dictionary.One_probe_dynamic
@@ -62,15 +63,9 @@ let engine_wrap ~cache_blocks (dict : Engine.dict) base =
   let config = { Engine.max_batch = 16; deadline_rounds = 2; cache_blocks } in
   let eng = Engine.create ~config dict in
   let run keys =
-    let ids = List.map (fun k -> Engine.submit eng (Engine.Lookup k)) keys in
-    Engine.drain eng;
-    let outs = Engine.take_outcomes eng in
     List.map
-      (fun id ->
-        match List.find_opt (fun (o : Engine.outcome) -> o.id = id) outs with
-        | Some o -> o.Engine.value
-        | None -> invalid_arg "Sim_sut: engine dropped a lookup")
-      ids
+      (function Ok (o : Engine.outcome) -> o.Engine.value | Error e -> raise e)
+      (Engine.run eng (List.map (fun k -> Engine.Lookup k) keys))
   in
   let find k =
     match run [ k ] with
@@ -114,15 +109,7 @@ let build_static (cfg : Sim_config.t) ~data =
   in
   if not cfg.engine then base
   else
-    engine_wrap ~cache_blocks:cfg.cache_blocks
-      { Engine.name = "one-probe static"; machine = Ops.machine t;
-        lookup =
-          (fun key ->
-            Engine.Fetch
-              ( Ops.probe_addresses t key,
-                fun blocks -> Engine.Done (Ops.find_in t key blocks) ));
-        insert = None; delete = None }
-      base
+    engine_wrap ~cache_blocks:cfg.cache_blocks (Plans.one_probe_static t) base
 
 let build_dynamic (cfg : Sim_config.t) =
   let dcfg =
@@ -144,15 +131,7 @@ let build_dynamic (cfg : Sim_config.t) =
   in
   if not cfg.engine then base
   else
-    engine_wrap ~cache_blocks:cfg.cache_blocks
-      { Engine.name = "one-probe dynamic"; machine = Opd.machine t;
-        lookup =
-          (fun key ->
-            Engine.Fetch
-              ( Opd.probe_addresses t key,
-                fun blocks -> Engine.Done (Opd.find_in t key blocks) ));
-        insert = Some (Opd.insert t); delete = Some (Opd.delete t) }
-      base
+    engine_wrap ~cache_blocks:cfg.cache_blocks (Plans.one_probe_dynamic t) base
 
 let build_cascade (cfg : Sim_config.t) =
   let ccfg =
@@ -176,25 +155,7 @@ let build_cascade (cfg : Sim_config.t) =
   in
   if not cfg.engine then base
   else
-    engine_wrap ~cache_blocks:cfg.cache_blocks
-      { Engine.name = "cascade"; machine = Cascade.machine t;
-        lookup =
-          (fun key ->
-            Engine.Fetch
-              ( Cascade.first_round_addresses t key,
-                fun blocks ->
-                  match Cascade.membership_in t key blocks with
-                  | None -> Engine.Done None
-                  | Some (1, head) ->
-                    Engine.Done (Cascade.decode_in t key ~level:1 ~head blocks)
-                  | Some (level, head) ->
-                    Engine.Fetch
-                      ( Cascade.level_addresses t key ~level,
-                        fun blocks2 ->
-                          Engine.Done
-                            (Cascade.decode_in t key ~level ~head blocks2) ) ));
-        insert = Some (Cascade.insert t); delete = Some (Cascade.delete t) }
-      base
+    engine_wrap ~cache_blocks:cfg.cache_blocks (Plans.cascade t) base
 
 (* The sharded cluster: one journaled one-probe-dynamic dictionary +
    engine per shard behind deterministic rendezvous routing. The

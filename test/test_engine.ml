@@ -409,35 +409,55 @@ let test_delete_through_engine () =
     (Engine.deleted_value true = Some Bytes.empty);
   checkb "deleted_value absent" true (Engine.deleted_value false = None)
 
-(* Engine.guard is the one per-request failure-reporting path the CLI
-   serve loops (single machine and cluster) share: structured storage
-   errors become Request_failed carrying the request's id and key;
-   anything unrecognized propagates untouched. *)
-let test_guard_unifies_failure_reporting () =
-  let storage =
-    Backend.Disk_failed { Backend.disk = 3; block = 7; round = 1 }
+(* Engine.run answers every request it was given, in request order: a
+   storage failure is an [Error] for each request it left unanswered,
+   and the next run answers only its own requests. *)
+let test_run_failure_contract () =
+  let plan k = [ { Pdm.disk = k mod 4; block = 0 } ] in
+  let m, dict, expect = synthetic ~disks:4 ~plan () in
+  Pdm.kill_disk m 2;
+  let eng = Engine.create ~config:(one_batch_config 2) dict in
+  let lookups = List.map (fun k -> Engine.Lookup k) in
+  let answered k = function
+    | Ok (o : Engine.outcome) ->
+      check "request order" k (Engine.request_key o.Engine.request);
+      Alcotest.(check (option bytes)) "answer" (Some (expect k)) o.Engine.value
+    | Error e -> Alcotest.failf "key %d: %s" k (Printexc.to_string e)
   in
-  (match Engine.guard ~id:9 ~key:1234 (fun () -> raise storage) with
-   | _ -> Alcotest.fail "expected Request_failed"
-   | exception Engine.Request_failed { id; key; error } ->
-     check "request id" 9 id;
-     check "request key" 1234 key;
-     checkb "carries the storage error" true (error == storage));
-  (match Engine.guard ~id:0 ~key:0 (fun () -> raise Exit) with
-   | _ -> Alcotest.fail "expected Exit"
-   | exception Exit -> ()
-   | exception _ -> Alcotest.fail "unrecognized exceptions must propagate");
-  check "guard passes values through" 7
-    (Engine.guard ~id:1 ~key:2 (fun () -> 7));
-  (* a custom describe widens recognition — the cluster path wraps
-     Unavailable/Retries_exhausted the same way *)
-  match
-    Engine.guard ~id:4 ~key:5 ~describe:(fun _ -> Some "recognized")
-      (fun () -> raise Exit)
-  with
-  | _ -> Alcotest.fail "expected Request_failed via custom describe"
-  | exception Engine.Request_failed { id = 4; key = 5; error = Exit } -> ()
-  | exception e -> raise e
+  (match Engine.run eng (lookups [ 0; 1; 2; 3 ]) with
+   | [ a0; a1; Error e2; Error e3 ] ->
+     answered 0 a0;
+     answered 1 a1;
+     checkb "one failure for both" true (e2 == e3);
+     (match e2 with
+      | Engine.Request_failed { key; error; _ } ->
+        check "attributed to the request on the dead disk" 2 key;
+        checkb "structured payload" true (Backend.describe error <> None)
+      | e -> Alcotest.failf "expected Request_failed, got %s"
+               (Printexc.to_string e))
+   | rs -> Alcotest.failf "expected Ok, Ok, Error, Error (%d answers)"
+             (List.length rs));
+  check "nothing left queued" 0 (Engine.queue_length eng);
+  match Engine.run eng (lookups [ 1; 3 ]) with
+  | [ a1; a3 ] -> answered 1 a1; answered 3 a3
+  | rs -> Alcotest.failf "expected exactly 2 answers, got %d" (List.length rs)
+
+(* The engine's accounting is bounded: 10 000 more one-lookup batches,
+   outcomes taken each time, leave its reachable heap unchanged. *)
+let test_accounting_is_bounded () =
+  let plan k = [ { Pdm.disk = k mod 4; block = 0 } ] in
+  let _, dict, _ = synthetic ~disks:4 ~blocks:1 ~plan () in
+  let eng = Engine.create ~config:(one_batch_config 1) dict in
+  let serve n =
+    for k = 1 to n do
+      ignore (Engine.submit eng (Engine.Lookup k));
+      ignore (Engine.take_outcomes eng)
+    done
+  in
+  serve 100;
+  let words = Obj.reachable_words (Obj.repr eng) in
+  serve 10_000;
+  check "reachable words" words (Obj.reachable_words (Obj.repr eng))
 
 let suite =
   [ ("engine.coalescing",
@@ -460,8 +480,9 @@ let suite =
          test_cascade_two_phase_through_engine;
        tc "delete semantics through the engine" `Quick
          test_delete_through_engine;
-       tc "guard unifies failure reporting" `Quick
-         test_guard_unifies_failure_reporting ]);
+       tc "run: failures answered, engine reusable" `Quick
+         test_run_failure_contract;
+       tc "accounting is bounded" `Quick test_accounting_is_bounded ]);
     ("pdm.read_preferring",
      [ tc "uses the requested replica" `Quick
          test_read_preferring_uses_requested_replica;
