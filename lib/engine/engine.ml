@@ -66,6 +66,11 @@ type t = {
   mutable round : int;
   mutable outcomes : outcome list; (* completion order, reversed *)
   disk_load : int array;           (* cumulative fetches per physical disk *)
+  (* fetch_all's working arrays, kept and grown on demand: allocated
+     per fetch, a large batch's would land on the major heap each time *)
+  mutable reps : int array;        (* replica j of block i: [i * r + j] *)
+  mutable pending_blocks : int array;
+  mutable issued : int array;      (* [reps] slot of each issued block *)
   (* counters *)
   mutable served : int;
   mutable batches : int;
@@ -92,6 +97,7 @@ let create ?(config = default_config) dict =
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
     disk_load = Array.make (Pdm.physical_disks dict.machine) 0;
+    reps = [||]; pending_blocks = [||]; issued = [||];
     served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
     executor_rounds = 0; blocks_fetched = 0; coalesced = 0; cache_hits = 0;
     total_latency = 0; max_latency = 0;
@@ -176,70 +182,98 @@ let exec_update t p =
   t.insert_rounds <- t.insert_rounds + delta;
   complete t p value
 
+(* A batch's blocks by address, hashed as one integer from disk and
+   block. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = addr
+
+  let equal (a : addr) (b : addr) = a.disk = b.disk && a.block = b.block
+  let hash (a : addr) = (a.block * 65_599) + a.disk
+end)
+
 (* Advance a step as far as the fetched blocks allow. *)
 let rec settle tbl st =
   match st with
   | Done _ -> st
-  | Fetch (addrs, k) ->
-    if List.for_all (Hashtbl.mem tbl) addrs then
-      settle tbl (k (List.map (fun a -> (a, Hashtbl.find tbl a)) addrs))
-    else st
+  | Fetch (addrs, k) -> (
+    match List.map (fun a -> (a, Addr_tbl.find tbl a)) addrs with
+    | blocks -> settle tbl (k blocks)
+    | exception Not_found -> st)
 
-(* One executor round: assign each wanted block to a free, healthy
-   replica disk (least cumulative load wins); blocks whose healthy
-   replicas are all busy wait for the next round. A block with no
-   healthy replica left is issued anyway on replica 0 so the machine's
-   structured error surfaces — attributed to the oldest waiting
-   request. *)
-(* pdm-lint: domain local — round counters and scratch tables owned by the engine's single domain *)
-let fetch_all t tbl wanted =
+(* The executor: pack [wanted] (distinct blocks, each with the oldest
+   request waiting on it) into rounds of at most one block per disk.
+   Each round walks the pending blocks once, oldest first, and gives
+   each block the healthy replica disk with the least cumulative load
+   among those still free this round (the first such replica on a
+   tie); a block whose healthy replicas are all taken waits for the
+   next round, keeping its place. A block with no healthy replica left
+   is issued anyway on replica 0 so the machine's structured error
+   surfaces, attributed to the oldest issued request with a block on
+   the failing disk (else the round's first). Replica disks are
+   resolved once per fetch, since placement moves only in scrub;
+   health is re-read every round, since a read that meets a dead disk
+   marks it down. *)
+(* pdm-lint: domain local — round counters, working arrays and the batch's block table owned by the engine's single domain *)
+let fetch_all t tbl (wanted : (addr * pending) array) =
   let m = t.dict.machine in
-  let remaining = ref wanted in
-  while !remaining <> [] do
-    let used = Hashtbl.create 16 in
-    let this_round = ref [] and defer = ref [] in
-    List.iter
-      (fun ((a, _p) as w) ->
-        (* one replica_disks call per block per round — the chosen
-           disk rides along in the issue triple so the post-read load
-           accounting need not re-derive the replica list *)
-        let disks = Pdm.replica_disks m a in
-        let candidates = List.mapi (fun j d -> (j, d)) disks in
-        let healthy =
-          List.filter (fun (_, d) -> not (Pdm.disk_down m d)) candidates
-        in
-        match healthy with
-        | [] ->
-          let d0 = match disks with d :: _ -> d | [] -> a.disk in
-          this_round := (w, 0, d0) :: !this_round
-        | _ -> (
-          let free =
-            List.filter (fun (_, d) -> not (Hashtbl.mem used d)) healthy
-          in
-          match free with
-          | [] -> defer := w :: !defer
-          | (j0, d0) :: rest ->
-            let j, d =
-              List.fold_left
-                (fun (bj, bd) (j, d) ->
-                  if t.disk_load.(d) < t.disk_load.(bd) then (j, d)
-                  else (bj, bd))
-                (j0, d0) rest
-            in
-            Hashtbl.add used d ();
-            this_round := (w, j, d) :: !this_round))
-      !remaining;
-    let issue = List.rev !this_round in
-    let assignment = List.map (fun ((a, _), j, _) -> (a, j)) issue in
+  let n = Array.length wanted in
+  let r = Pdm.replicas m in
+  let grow a len = if Array.length a >= len then a else Array.make len 0 in
+  t.reps <- grow t.reps (n * r);
+  t.pending_blocks <- grow t.pending_blocks n;
+  t.issued <- grow t.issued n;
+  let reps = t.reps and pending = t.pending_blocks and issued = t.issued in
+  Array.iteri
+    (fun i (a, _) ->
+      List.iteri (fun j d -> reps.((i * r) + j) <- d) (Pdm.replica_disks m a))
+    wanted;
+  let used = Array.make (Array.length t.disk_load) (-1) in (* round stamp *)
+  for i = 0 to n - 1 do
+    pending.(i) <- i
+  done;
+  let npending = ref n and round = ref 0 in
+  while !npending > 0 do
+    let nissued = ref 0 and ndeferred = ref 0 in
+    for x = 0 to !npending - 1 do
+      let i = pending.(x) in
+      let best = ref (-1) and healthy = ref false in
+      for s = i * r to (i * r) + r - 1 do
+        let d = reps.(s) in
+        if not (Pdm.disk_down m d) then begin
+          healthy := true;
+          if
+            used.(d) <> !round
+            && (!best < 0 || t.disk_load.(d) < t.disk_load.(reps.(!best)))
+          then best := s
+        end
+      done;
+      if not !healthy then begin
+        issued.(!nissued) <- i * r;
+        incr nissued
+      end
+      else if !best < 0 then begin
+        (* [ndeferred <= x]: the pending prefix is rewritten in place *)
+        pending.(!ndeferred) <- i;
+        incr ndeferred
+      end
+      else begin
+        used.(reps.(!best)) <- !round;
+        issued.(!nissued) <- !best;
+        incr nissued
+      end
+    done;
+    let assignment = ref [] in
+    for c = !nissued - 1 downto 0 do
+      let s = issued.(c) in
+      assignment := (fst wanted.(s / r), s mod r) :: !assignment
+    done;
     let before = Pdm.rounds_total m in
     let fetched =
-      try Pdm.read_preferring m assignment
+      try Pdm.read_preferring m !assignment
       with e -> (
         match Backend.describe e with
         | None -> raise e
         | Some _ ->
-          (* Attribute to the oldest request waiting on a block of the
-             failing disk (falling back to the round's first). *)
           let failing_disk =
             match e with
             | Backend.Disk_failed err | Backend.Corrupt_block err ->
@@ -247,43 +281,41 @@ let fetch_all t tbl wanted =
             | Backend.Retries_exhausted { disk; _ } -> disk
             | _ -> -1
           in
-          let culprit =
-            match
-              List.find_opt
-                (fun ((a, _), _, _) ->
-                  List.mem failing_disk (Pdm.replica_disks m a))
-                issue
-            with
-            | Some ((_, p), _, _) -> Some p
-            | None ->
-              (match issue with ((_, p), _, _) :: _ -> Some p | [] -> None)
+          let on_failing_disk c =
+            let base = issued.(c) / r * r in
+            let rec has j =
+              j < r && (reps.(base + j) = failing_disk || has (j + 1))
+            in
+            has 0
           in
-          (match culprit with
-           | None ->
-             (* an empty round cannot have raised; re-surface as-is *)
-             raise e
-           | Some culprit ->
-             raise
-               (Request_failed
-                  { id = culprit.id; key = request_key culprit.request;
-                    error = e })))
+          (* every round issues its first pending block *)
+          let rec culprit c =
+            if c >= !nissued then 0 else if on_failing_disk c then c
+            else culprit (c + 1)
+          in
+          let p = snd wanted.(issued.(culprit 0) / r) in
+          raise
+            (Request_failed
+               { id = p.id; key = request_key p.request; error = e }))
     in
     let delta = max 1 (Pdm.rounds_total m - before) in
     t.round <- t.round + delta;
     t.fetch_rounds <- t.fetch_rounds + delta;
     t.executor_rounds <- t.executor_rounds + 1;
-    t.blocks_fetched <- t.blocks_fetched + List.length fetched;
-    List.iter
-      (fun (_, _, d) -> t.disk_load.(d) <- t.disk_load.(d) + 1)
-      issue;
+    for c = 0 to !nissued - 1 do
+      let d = reps.(issued.(c)) in
+      t.disk_load.(d) <- t.disk_load.(d) + 1
+    done;
     List.iter
       (fun (a, data) ->
-        Hashtbl.replace tbl a data;
+        t.blocks_fetched <- t.blocks_fetched + 1;
+        Addr_tbl.replace tbl a data;
         match t.cache with
         | Some c -> Cache.note_fetched c a data
         | None -> ())
       fetched;
-    remaining := List.rev !defer
+    npending := !ndeferred;
+    incr round
   done
 
 (* pdm-lint: domain local — batch bookkeeping on t; batches are formed and executed on one domain *)
@@ -298,7 +330,7 @@ let run_batch t batch =
       batch
   in
   List.iter (fun p -> exec_update t p) updates;
-  let tbl : (addr, int option array) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = Addr_tbl.create 64 and seen = Addr_tbl.create 64 in
   let inflight =
     List.map (fun p -> (p, ref (t.dict.lookup (request_key p.request)))) lookups
   in
@@ -319,8 +351,8 @@ let run_batch t batch =
       (* Plan: union of missing blocks across all in-flight steps, in
          first-seen (= oldest request first) order. Every repeat of an
          already-planned or already-fetched block is one coalesced
-         fetch. *)
-      let seen = Hashtbl.create 64 in
+         fetch; a first sighting the cache holds is a cache hit. *)
+      Addr_tbl.clear seen;
       let wanted = ref [] in
       List.iter
         (fun (p, str) ->
@@ -333,30 +365,24 @@ let run_batch t batch =
           | Fetch (addrs, _) ->
             List.iter
               (fun a ->
-                if Hashtbl.mem tbl a || Hashtbl.mem seen a then
+                if Addr_tbl.mem tbl a || Addr_tbl.mem seen a then
                   t.coalesced <- t.coalesced + 1
-                else begin
-                  Hashtbl.add seen a ();
-                  wanted := (a, p) :: !wanted
-                end)
+                else
+                  let cached =
+                    match t.cache with
+                    | Some c -> Cache.find_cached c a
+                    | None -> None
+                  in
+                  match cached with
+                  | Some data ->
+                    Addr_tbl.replace tbl a data;
+                    t.cache_hits <- t.cache_hits + 1
+                  | None ->
+                    Addr_tbl.add seen a ();
+                    wanted := (a, p) :: !wanted)
               addrs)
         still;
-      let wanted = List.rev !wanted in
-      let misses =
-        List.filter
-          (fun (a, _) ->
-            match t.cache with
-            | None -> true
-            | Some c -> (
-              match Cache.find_cached c a with
-              | Some data ->
-                Hashtbl.replace tbl a data;
-                t.cache_hits <- t.cache_hits + 1;
-                false
-              | None -> true))
-          wanted
-      in
-      if misses <> [] then fetch_all t tbl misses;
+      if !wanted <> [] then fetch_all t tbl (Array.of_list (List.rev !wanted));
       pass still
     end
   in

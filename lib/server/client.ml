@@ -9,6 +9,9 @@ type t = {
 let connect ~port =
   let sock = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.connect sock (ADDR_INET (Unix.inet_addr_loopback, port));
+  (* each request leaves when it is sent, not when the last one is
+     acknowledged *)
+  Unix.setsockopt sock TCP_NODELAY true;
   { sock; framing = Wire.Framing.create (); next_rid = 1;
     unclaimed = Hashtbl.create 16; eof = false }
 

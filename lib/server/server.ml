@@ -119,6 +119,7 @@ type t = {
   dq : done_queue;
   stopping : bool Atomic.t;
   conns : (int, conn) Hashtbl.t;  (* listener-owned *)
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;  (* listener-owned: [conns] by socket *)
   mutable next_cid : int;         (* listener-owned *)
   c_conns : int Atomic.t;
   c_frames : int Atomic.t;
@@ -206,6 +207,18 @@ let rec write_all fd buf off len =
     write_all fd buf (off + n) (len - n)
   end
 
+(* Close a connection and forget it. Once its socket is closed the
+   kernel may hand the same fd number to the next accepted connection,
+   so its [by_fd] entry goes with it. *)
+(* pdm-lint: domain local — connection teardown on listener state *)
+let retire_conn (t : t) conn =
+  if conn.alive then begin
+    conn.alive <- false;
+    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+    Hashtbl.remove t.conns conn.cid;
+    Hashtbl.remove t.by_fd conn.fd
+  end
+
 (* pdm-lint: domain local — conn records belong to the listener; a
    failed write just retires the connection *)
 let send_reply (t : t) conn rep_frame =
@@ -213,9 +226,7 @@ let send_reply (t : t) conn rep_frame =
     let frame = Wire.encode_reply rep_frame in
     try write_all conn.fd frame 0 (Bytes.length frame)
     with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
-      conn.alive <- false;
-      (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-      Hashtbl.remove t.conns conn.cid
+      retire_conn t conn
 
 let send_proto_error t conn ~rid code message =
   Atomic.incr t.c_proto;
@@ -389,12 +400,6 @@ let apply_completion (t : t) c =
         finish_frame t conn p
       end)
 
-(* pdm-lint: domain local — connection teardown on listener state *)
-let retire_conn (t : t) conn =
-  conn.alive <- false;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Hashtbl.remove t.conns conn.cid
-
 let scratch_len = 65536
 
 (* pdm-lint: domain local — read path runs only on the listener *)
@@ -423,12 +428,19 @@ let accept_conn (t : t) =
   match Unix.accept t.listen_fd with
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | fd, _addr ->
+    (* Replies go out as soon as they are written: with Nagle on, a
+       reply written while the previous one is unacknowledged waits
+       for the client's next segment to carry that ACK. *)
+    (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
     Atomic.incr t.c_conns;
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
-    Hashtbl.replace t.conns cid
+    let conn =
       { fd; cid; framing = Wire.Framing.create ();
         pending = Hashtbl.create 8; next_frame = 0; alive = true }
+    in
+    Hashtbl.replace t.conns cid conn;
+    Hashtbl.replace t.by_fd fd conn
 
 let drain_wake t =
   let b = Bytes.create 256 in
@@ -467,18 +479,15 @@ let run (t : t) =
     if List.mem t.wake_r readable then drain_wake t;
     List.iter (apply_completion t) (done_drain t.dq);
     if accepting then begin
-      if List.mem t.listen_fd readable then accept_conn t;
       List.iter
         (fun fd ->
-          if fd <> t.listen_fd && fd <> t.wake_r then
-            match
-              Hashtbl.fold
-                (fun _ c acc -> if c.fd = fd then Some c else acc)
-                t.conns None
-            with
-            | Some conn when conn.alive -> service_conn t conn scratch
-            | _ -> ())
-        readable
+          match Hashtbl.find_opt t.by_fd fd with
+          | Some conn -> service_conn t conn scratch
+          | None -> ())
+        readable;
+      (* Accept last: a socket closed since the select may come back
+         with its fd number, which [readable] still lists. *)
+      if List.mem t.listen_fd readable then accept_conn t
     end
   done;
   (* Drained: release the workers and close every socket. *)
@@ -488,6 +497,7 @@ let run (t : t) =
   Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
     t.conns;
   Hashtbl.reset t.conns;
+  Hashtbl.reset t.by_fd;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
@@ -512,7 +522,8 @@ let create ?(port = 0) cfg =
     { plane; cfg; listen_fd; port = bound_port; wake_r; wake_w;
       mailboxes = Array.init domains (fun _ -> mailbox_create ());
       dq = { dq_mu = Mutex.create (); dq_q = Queue.create () };
-      stopping = Atomic.make false; conns = Hashtbl.create 16; next_cid = 0;
+      stopping = Atomic.make false; conns = Hashtbl.create 16;
+      by_fd = Hashtbl.create 16; next_cid = 0;
       c_conns = Atomic.make 0; c_frames = Atomic.make 0;
       c_busy = Atomic.make 0; c_unavailable = Atomic.make 0;
       c_proto = Atomic.make 0; workers = [||]; listener = None;

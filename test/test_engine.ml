@@ -32,8 +32,11 @@ let decode_plan plan k =
     (fun acc (a : Pdm.addr) -> acc + (100 * a.Pdm.disk) + a.Pdm.block)
     0 (plan k)
 
-let synthetic ?(replicas = 1) ?(disks = 8) ?(blocks = 8) ~plan () =
-  let m = Pdm.create ~replicas ~disks ~block_size:4 ~blocks_per_disk:blocks () in
+let synthetic ?(replicas = 1) ?(spares = 0) ?(disks = 8) ?(blocks = 8) ~plan
+    () =
+  let m =
+    Pdm.create ~replicas ~spares ~disks ~block_size:4 ~blocks_per_disk:blocks ()
+  in
   for d = 0 to disks - 1 do
     for b = 0 to blocks - 1 do
       Pdm.write_one m { Pdm.disk = d; block = b } (block_of m [ (100 * d) + b ])
@@ -459,6 +462,194 @@ let test_accounting_is_bounded () =
   serve 10_000;
   check "reachable words" words (Obj.reachable_words (Obj.repr eng))
 
+(* --- round packing against a reference greedy (qcheck) --- *)
+
+(* The packing rules, written out with lists. The batch's wanted
+   blocks are the distinct plan addresses in first-seen order (oldest
+   request first), each owned by the first request that wants it. Each
+   round walks the pending blocks in order:
+   - candidates are the healthy replicas, in replica order;
+   - the one with the least cumulative load wins, the first on a tie;
+   - a block with no healthy replica is issued anyway, on replica 0;
+   - a block whose healthy replicas are all used this round is
+     deferred, keeping its order.
+   Loads advance after the round. A round that issues a block with no
+   healthy replica fails; the answer is then the rounds before it and
+   that round's issued [(addr, owner)] list. *)
+let reference_packing m ~down ~load plans =
+  let wanted =
+    List.concat (List.mapi (fun i p -> List.map (fun a -> (a, i)) p) plans)
+    |> List.fold_left
+         (fun acc (a, i) -> if List.mem_assoc a acc then acc else (a, i) :: acc)
+         []
+    |> List.rev
+  in
+  let rec go pending acc =
+    if pending = [] then (List.rev acc, None)
+    else begin
+      let used = Array.make (Pdm.physical_disks m) false in
+      let issue = ref [] and defer = ref [] and unhealthy = ref false in
+      List.iter
+        (fun (a, i) ->
+          let reps = List.mapi (fun j d -> (j, d)) (Pdm.replica_disks m a) in
+          match List.filter (fun (_, d) -> not (down d)) reps with
+          | [] ->
+            unhealthy := true;
+            issue := (a, i, snd (List.hd reps)) :: !issue
+          | healthy -> (
+            match List.filter (fun (_, d) -> not used.(d)) healthy with
+            | [] -> defer := (a, i) :: !defer
+            | first :: rest ->
+              let _, d =
+                List.fold_left
+                  (fun (bj, bd) (j, d) ->
+                    if load.(d) < load.(bd) then (j, d) else (bj, bd))
+                  first rest
+              in
+              used.(d) <- true;
+              issue := (a, i, d) :: !issue))
+        pending;
+      let issue = List.rev !issue in
+      if !unhealthy then
+        (List.rev acc, Some (List.map (fun (a, i, _) -> (a, i)) issue))
+      else begin
+        let per_disk = Array.make (Pdm.physical_disks m) 0 in
+        List.iter
+          (fun (_, _, d) ->
+            per_disk.(d) <- per_disk.(d) + 1;
+            load.(d) <- load.(d) + 1)
+          issue;
+        go (List.rev !defer) (per_disk :: acc)
+      end
+    end
+  in
+  go wanted []
+
+type packing_case = {
+  p_disks : int;
+  p_replicas : int;
+  p_spares : int;
+  p_blocks : int;
+  p_warm : Pdm.addr list list;  (* warm-up batch: makes the loads uneven *)
+  p_killed : int list;          (* killed after the warm-up *)
+  p_plans : Pdm.addr list list; (* the measured batch *)
+}
+
+let packing_gen =
+  QCheck.Gen.(
+    let* disks = int_range 2 16 in
+    let* replicas = int_range 1 (min 3 disks) in
+    let* spares = int_range 0 1 in
+    let* blocks = int_range 1 4 in
+    (* a hot disk 0 puts several plan blocks on one disk *)
+    let disk = frequency [ (3, int_bound (disks - 1)); (1, return 0) ] in
+    let addr =
+      map2 (fun d b -> { Pdm.disk = d; block = b }) disk (int_bound (blocks - 1))
+    in
+    let plans n = list_size (int_range 1 n) (list_size (int_range 1 6) addr) in
+    let* warm = plans 8 in
+    let* killed =
+      frequency
+        [ (2, return []); (3, list_size (int_range 1 2) (int_bound (disks - 1))) ]
+    in
+    let* plans = plans 24 in
+    return
+      { p_disks = disks; p_replicas = replicas; p_spares = spares;
+        p_blocks = blocks; p_warm = warm; p_killed = killed; p_plans = plans })
+
+let packing_arb =
+  let addrs p =
+    String.concat " "
+      (List.map (fun (a : Pdm.addr) -> Printf.sprintf "%d.%d" a.disk a.block) p)
+  in
+  let plans ps = String.concat " | " (List.map addrs ps) in
+  QCheck.make packing_gen ~print:(fun c ->
+      Printf.sprintf
+        "disks %d replicas %d spares %d blocks %d killed [%s]\n\
+         warm-up: %s\nplans: %s"
+        c.p_disks c.p_replicas c.p_spares c.p_blocks
+        (String.concat ";" (List.map string_of_int c.p_killed))
+        (plans c.p_warm) (plans c.p_plans))
+
+(* The engine's rounds, as the machine's trace records them, and the
+   request any failure is pinned on, are the reference greedy's. A
+   failing round's own scheduler passes are the machine's business:
+   only the rounds before it are compared, and the failing disk is the
+   one the machine's error names. *)
+let prop_packing_matches_reference =
+  QCheck.Test.make ~name:"round packing = reference greedy" ~count:300
+    packing_arb (fun c ->
+      let all = Array.of_list (c.p_warm @ c.p_plans) in
+      let warm_n = List.length c.p_warm in
+      let m, dict, _ =
+        synthetic ~replicas:c.p_replicas ~spares:c.p_spares ~disks:c.p_disks
+          ~blocks:c.p_blocks ~plan:(fun k -> all.(k)) ()
+      in
+      let tr = Pdm_sim.Trace.create () in
+      Pdm.set_trace m (Some tr);
+      let eng = Engine.create ~config:(one_batch_config (Array.length all)) dict in
+      let read_rounds () =
+        List.filter_map
+          (fun (e : Pdm_sim.Trace.event) ->
+            if e.op = Pdm_sim.Trace.Read then Some e.per_disk else None)
+          (Pdm_sim.Trace.events tr)
+      in
+      let batch lo n =
+        for k = lo to lo + n - 1 do
+          ignore (Engine.submit eng (Engine.Lookup k))
+        done;
+        match Engine.drain eng with
+        | () -> None
+        | exception Engine.Request_failed { id; key; error } ->
+          Some (id, key, error)
+      in
+      let load = Array.make (Pdm.physical_disks m) 0 in
+      let warm_ref, warm_fail =
+        reference_packing m ~down:(fun _ -> false) ~load c.p_warm
+      in
+      if warm_fail <> None then QCheck.Test.fail_report "warm-up cannot fail";
+      if batch 0 warm_n <> None then QCheck.Test.fail_report "warm-up failed";
+      if read_rounds () <> warm_ref then
+        QCheck.Test.fail_report "warm-up rounds differ";
+      Pdm_sim.Trace.clear tr;
+      List.iter (Pdm.kill_disk m) c.p_killed;
+      let expect, expect_fail =
+        reference_packing m ~down:(fun d -> List.mem d c.p_killed) ~load
+          c.p_plans
+      in
+      let rec is_prefix xs ys =
+        match (xs, ys) with
+        | [], _ -> true
+        | x :: xs, y :: ys -> x = y && is_prefix xs ys
+        | _ :: _, [] -> false
+      in
+      match (batch warm_n (List.length c.p_plans), expect_fail) with
+      | None, None ->
+        read_rounds () = expect || QCheck.Test.fail_report "rounds differ"
+      | Some (id, key, error), Some issued ->
+        let failing =
+          match error with
+          | Backend.Disk_failed e -> e.Backend.disk
+          | _ -> QCheck.Test.fail_report "expected Disk_failed"
+        in
+        let culprit =
+          match
+            List.find_opt
+              (fun (a, _) -> List.mem failing (Pdm.replica_disks m a))
+              issued
+          with
+          | Some (_, i) -> i
+          | None -> snd (List.hd issued)
+        in
+        if not (is_prefix expect (read_rounds ())) then
+          QCheck.Test.fail_report "rounds before the failure differ";
+        (id = warm_n + culprit && key = warm_n + culprit)
+        || QCheck.Test.fail_reportf "failure pinned on %d (key %d), want %d"
+             id key (warm_n + culprit)
+      | None, Some _ -> QCheck.Test.fail_report "expected a failure"
+      | Some (id, _, _), None ->
+        QCheck.Test.fail_reportf "unexpected failure of %d" id)
+
 let suite =
   [ ("engine.coalescing",
      [ tc "all-same-key batch" `Quick test_all_same_key_coalesces;
@@ -468,6 +659,7 @@ let suite =
          test_zipf_batch_on_real_dictionary ]);
     ("engine.replicas",
      [ tc "least-loaded splits a hot disk" `Quick test_replicas_split_hot_disk;
+       QCheck_alcotest.to_alcotest prop_packing_matches_reference;
        tc "killed disk: failover within 2x" `Quick
          test_killed_disk_failover_within_2x;
        tc "r=1 failure carries request id" `Quick

@@ -353,6 +353,139 @@ let test_live_fuzz_never_crashes () =
           done);
       with_client t ping_alive)
 
+(* --- live server: sockets ----------------------------------------- *)
+
+let test_client_nodelay () =
+  with_server (small_config ()) (fun t ->
+      with_client t (fun c ->
+          checkb "TCP_NODELAY on the client socket" true
+            (Unix.getsockopt (Client.fd c) Unix.TCP_NODELAY)))
+
+(* With Nagle on at the daemon, a reply written while the previous one
+   is still unacknowledged waits for the client's next segment to
+   carry that ACK. Two frames back to back start such a chain; on an
+   open-loop schedule every later reply would then arrive one send
+   period late. Sends here are due every [period]; replies are read
+   as they come. *)
+let test_replies_not_held () =
+  with_server (small_config ()) (fun t ->
+      with_client t (fun c ->
+          let period = 0.002 and n = 300 in
+          let sent = Hashtbl.create (n + 2) and waits = ref [] in
+          let send () =
+            let rid = Client.send c (Wire.Op (Wire.Get 1)) in
+            Hashtbl.replace sent rid (Unix.gettimeofday ())
+          in
+          (* read replies until [deadline]; with [~all], stop early
+             once every frame has its reply *)
+          let collect ?(all = false) deadline =
+            let rec go () =
+              let left = deadline -. Unix.gettimeofday () in
+              if left > 0. && not (all && Hashtbl.length sent = 0) then
+                match Unix.select [ Client.fd c ] [] [] left with
+                | [], _, _ -> ()
+                | _ ->
+                  let now = Unix.gettimeofday () in
+                  List.iter
+                    (fun (rid, _) ->
+                      match Hashtbl.find_opt sent rid with
+                      | Some t0 ->
+                        Hashtbl.remove sent rid;
+                        waits := (now -. t0) :: !waits
+                      | None -> Alcotest.failf "reply to unknown rid %d" rid)
+                    (Client.drain c);
+                  go ()
+                | exception Unix.Unix_error (EINTR, _, _) -> go ()
+            in
+            go ()
+          in
+          send ();
+          send ();
+          let start = Unix.gettimeofday () in
+          for i = 1 to n do
+            collect (start +. (float_of_int i *. period));
+            send ()
+          done;
+          collect ~all:true (Unix.gettimeofday () +. 1.0);
+          check "every frame answered" 0 (Hashtbl.length sent);
+          let sorted = List.sort compare !waits in
+          let median = List.nth sorted (List.length sorted / 2) in
+          if median >= period /. 2. then
+            Alcotest.failf "median send-to-reply %.0f us for a %.0f us period"
+              (median *. 1e6) (period *. 1e6)))
+
+(* Replies are routed by socket. Once a connection's socket is closed
+   the kernel hands its fd number to the next one accepted (the lowest
+   free number): the new connection must get its own replies, and the
+   surviving one only its own. *)
+let test_fd_reuse_routes_replies () =
+  with_server (small_config ()) (fun t ->
+      let port = Server.port t in
+      let c1 = Client.connect ~port and c2 = Client.connect ~port in
+      ping_alive c1;
+      ping_alive c2;
+      (* allocate the third client's descriptor now, so the fd the
+         daemon frees below is the lowest free one when it accepts *)
+      let s3 = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c1;
+          Client.close c2;
+          try Unix.close s3 with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* an oversized prefix makes the daemon reply and close c1 *)
+          Client.send_raw c1 (Bytes.make 4 '\xff');
+          expect_proto c1 Wire.Oversized;
+          checkb "c1 closed by the daemon" true (Client.drain c1 = []);
+          Unix.connect s3 (ADDR_INET (Unix.inet_addr_loopback, port));
+          let value tag = Bytes.of_string (Printf.sprintf "%-8s" tag) in
+          (match Client.call c2 (Wire.Op (Wire.Insert (2, value "two"))) with
+           | Wire.Result Wire.Inserted -> ()
+           | _ -> Alcotest.fail "c2 insert");
+          let framing = Wire.Framing.create () in
+          let buf = Bytes.create 4096 in
+          let call3 rid req =
+            let frame = Wire.encode_request { Wire.rid; req } in
+            let rec write off =
+              if off < Bytes.length frame then
+                write (off + Unix.write s3 frame off (Bytes.length frame - off))
+            in
+            write 0;
+            let rec next () =
+              match Wire.Framing.next framing with
+              | `Frame payload -> (
+                match Wire.decode_reply payload with
+                | Ok { Wire.rid = got; rep } ->
+                  check "c3 reply rid" rid got;
+                  rep
+                | Error (_, msg) -> Alcotest.fail msg)
+              | `Oversized _ -> Alcotest.fail "c3: oversized reply"
+              | `Await -> (
+                match Unix.select [ s3 ] [] [] 5.0 with
+                | [], _, _ -> Alcotest.fail "c3: no reply"
+                | _ ->
+                  let n = Unix.read s3 buf 0 (Bytes.length buf) in
+                  if n = 0 then Alcotest.fail "c3: closed";
+                  Wire.Framing.feed framing buf n;
+                  next ())
+            in
+            next ()
+          in
+          (match call3 7 (Wire.Op (Wire.Insert (3, value "three"))) with
+           | Wire.Result Wire.Inserted -> ()
+           | _ -> Alcotest.fail "c3 insert");
+          (* interleave: each side must read back only its own key *)
+          let r2 = Client.send c2 (Wire.Op (Wire.Get 2)) in
+          (match call3 8 (Wire.Op (Wire.Get 3)) with
+           | Wire.Result (Wire.Found v) ->
+             checkb "c3 reads its own value" true (Bytes.equal v (value "three"))
+           | _ -> Alcotest.fail "c3 get");
+          (match Client.wait c2 r2 with
+           | Wire.Result (Wire.Found v) ->
+             checkb "c2 reads its own value" true (Bytes.equal v (value "two"))
+           | _ -> Alcotest.fail "c2 get");
+          check "c2 has no stray replies" 0 (Client.pending c2)))
+
 (* --- multi-domain determinism ------------------------------------ *)
 
 let determinism_spec =
@@ -475,7 +608,11 @@ let suite =
      [ tc "malformed frames keep the connection" `Quick
          test_live_malformed_frames;
        tc "seeded frame fuzzer never crashes the daemon" `Quick
-         test_live_fuzz_never_crashes ]);
+         test_live_fuzz_never_crashes;
+       tc "client sets TCP_NODELAY" `Quick test_client_nodelay;
+       tc "open-loop replies are not held back" `Quick test_replies_not_held;
+       tc "a reused fd number gets its own replies" `Quick
+         test_fd_reuse_routes_replies ]);
     ("server.determinism",
      [ tc "1 vs 2 domains: identical answers and ledgers" `Quick
          test_multi_domain_determinism ]);
