@@ -138,7 +138,7 @@ let addresses t key =
 let bucket_image blocks_by_addr t ~stripe ~local =
   List.map
     (fun a ->
-      match List.assoc_opt a blocks_by_addr with
+      match Pdm.assoc_addr a blocks_by_addr with
       | Some b -> (a, b)
       | None -> invalid_arg "Basic_dict: missing block in supplied fetch")
     (bucket_addrs t ~stripe ~local)

@@ -5,35 +5,41 @@ let bits_per_word = 32
 
 let words_for_bits nbits = Imath.cdiv nbits bits_per_word
 
-let get_bit bytes i =
-  let byte = i lsr 3 and off = i land 7 in
-  if byte >= Bytes.length bytes then false
-  else Char.code (Bytes.get bytes byte) land (0x80 lsr off) <> 0
+(* A word holds four whole bytes, most significant first, so both
+   directions move a byte at a time. *)
+let bytes_per_word = bits_per_word / 8
 
-(* pdm-lint: domain local — codec writes target freshly decoded per-call scratch blocks *)
-let set_bit bytes i =
-  let byte = i lsr 3 and off = i land 7 in
-  Bytes.set bytes byte
-    (Char.chr (Char.code (Bytes.get bytes byte) lor (0x80 lsr off)))
+(* The bits of byte [i] that lie below bit [nbits]. *)
+let byte_mask ~nbits i =
+  let valid = nbits - (8 * i) in
+  if valid >= 8 then 0xff
+  else if valid <= 0 then 0
+  else (0xff lsl (8 - valid)) land 0xff
 
 let words_of_bits bytes ~nbits =
   if nbits < 0 then invalid_arg "Codec.words_of_bits";
   let nwords = words_for_bits nbits in
-  Array.init nwords (fun w ->
-      let acc = ref 0 in
-      for b = 0 to bits_per_word - 1 do
-        let i = (w * bits_per_word) + b in
-        acc := (!acc lsl 1) lor (if i < nbits && get_bit bytes i then 1 else 0)
-      done;
-      !acc)
+  let len = Bytes.length bytes in
+  let words = Array.make nwords 0 in
+  for w = 0 to nwords - 1 do
+    let acc = ref 0 in
+    for j = 0 to bytes_per_word - 1 do
+      let i = (w * bytes_per_word) + j in
+      let byte = if i < len then Char.code (Bytes.get bytes i) else 0 in
+      acc := (!acc lsl 8) lor (byte land byte_mask ~nbits i)
+    done;
+    words.(w) <- !acc
+  done;
+  words
 
 let bytes_of_words words ~nbits =
   if nbits < 0 || words_for_bits nbits > Array.length words then
     invalid_arg "Codec.bytes_of_words";
-  let out = Bytes.make (Imath.cdiv nbits 8) '\000' in
-  for i = 0 to nbits - 1 do
-    let w = i / bits_per_word and b = i mod bits_per_word in
-    if words.(w) lsr (bits_per_word - 1 - b) land 1 = 1 then set_bit out i
+  let out = Bytes.create (Imath.cdiv nbits 8) in
+  for i = 0 to Bytes.length out - 1 do
+    let w = i / bytes_per_word and j = i mod bytes_per_word in
+    let byte = (words.(w) lsr (bits_per_word - 8 - (8 * j))) land 0xff in
+    Bytes.set out i (Char.chr (byte land byte_mask ~nbits i))
   done;
   out
 
@@ -75,7 +81,7 @@ module Slots = struct
     done;
     !c
 
-  let find_key block ~width ~key =
+  let find_key (block : int option array) ~width ~(key : int) =
     let n = per_block ~block_words:(Array.length block) ~width in
     let rec loop i =
       if i >= n then None

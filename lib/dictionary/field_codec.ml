@@ -15,10 +15,14 @@ let finish_field ~field_bits w =
   Bytes.blit src 0 out 0 (Bytes.length src);
   out
 
-let copy_bits ~from ~into ~count =
-  for _ = 1 to count do
-    Bitbuf.Writer.add_bit into (Bitbuf.Reader.read_bit from)
-  done
+(* In chunks of at most 56 bits, well inside a read or write's 62. *)
+let rec copy_bits ~from ~into ~count =
+  if count > 0 then begin
+    let width = min 56 count in
+    Bitbuf.Writer.add_bits into ~value:(Bitbuf.Reader.read_bits from ~width)
+      ~width;
+    copy_bits ~from ~into ~count:(count - width)
+  end
 
 let satellite_reader satellite sigma_bits =
   if 8 * Bytes.length satellite < sigma_bits then

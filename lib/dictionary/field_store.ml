@@ -106,7 +106,7 @@ let segs_in t blocks y =
   let segs =
     List.map
       (fun a ->
-        match List.assoc_opt a blocks with
+        match Pdm.assoc_addr a blocks with
         | Some block -> block
         | None -> invalid_arg "Field_store.field_in: block not supplied")
       addrs
@@ -156,7 +156,7 @@ let prepare_updates t ~images updates =
       let segs =
         List.map
           (fun a ->
-            match List.assoc_opt a images with
+            match Pdm.assoc_addr a images with
             | Some block -> block
             | None ->
               invalid_arg "Field_store.prepare_updates: block not supplied")

@@ -182,14 +182,8 @@ let exec_update t p =
   t.insert_rounds <- t.insert_rounds + delta;
   complete t p value
 
-(* A batch's blocks by address, hashed as one integer from disk and
-   block. *)
-module Addr_tbl = Hashtbl.Make (struct
-  type t = addr
-
-  let equal (a : addr) (b : addr) = a.disk = b.disk && a.block = b.block
-  let hash (a : addr) = (a.block * 65_599) + a.disk
-end)
+(* A batch's blocks by address. *)
+module Addr_tbl = Pdm.Addr_tbl
 
 (* Advance a step as far as the fetched blocks allow. *)
 let rec settle tbl st =

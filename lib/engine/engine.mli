@@ -27,9 +27,12 @@
 type addr = Pdm_sim.Pdm.addr
 
 type blocks = (addr * int option array) list
-(** Fetched blocks, as {!Pdm_sim.Pdm.read} returns them. Arrays handed
-    to continuations may be shared between requests of one batch —
-    treat them as read-only. *)
+(** Fetched blocks, as {!Pdm_sim.Pdm.read_preferring} returns them:
+    the machine's stored images, not copies, shared between the
+    requests of one batch. Continuations must treat them as read-only;
+    under the sanitizer, a write into one raises
+    [Sanitizer_violation] (check [read-only-view]) at the machine's
+    next counted request. *)
 
 type step =
   | Done of Bytes.t option  (** The answer. *)

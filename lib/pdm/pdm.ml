@@ -11,6 +11,21 @@ type 'a integrity = {
   check : 'a option array -> 'a option array option;
 }
 
+(* The round scheduler's working state, kept on the machine and grown
+   on demand. Each channel's queue is a FIFO of transfer indices
+   threaded through [next]. Int arrays only: a long-lived workspace
+   holds no pointer into the minor heap. *)
+type workspace = {
+  mutable busy : bool;  (* a request is running on it *)
+  head : int array;  (* per channel: first queued transfer, -1 = none *)
+  tail : int array;  (* per channel: last queued transfer *)
+  cur : int array;  (* per channel: transfer in flight, -1 = idle *)
+  left : int array;  (* per channel: rounds the transfer still needs *)
+  per_disk : int array;  (* blocks moved per disk this round, untraced *)
+  mutable next : int array;  (* per transfer: the one queued behind it *)
+  mutable attempts : int array;  (* per transfer: failed attempts *)
+}
+
 type 'a t = {
   disks : int;  (* logical *)
   block_size : int;  (* payload cells per logical block *)
@@ -25,11 +40,26 @@ type 'a t = {
   remap : (addr * int, addr) Hashtbl.t;  (* (logical, replica) moved *)
   spare_next : int array;  (* next free block on each spare disk *)
   fault_spec : Fault.spec option;
+  empty : 'a option array;  (* the never-written block read_preferring answers *)
+  ws : workspace;
+  (* sanitizer: images the last read_preferring handed out, with
+     snapshots, checked by the next counted request *)
+  mutable views : (addr * 'a option array * 'a option array) list;
   mutable trace : Trace.t option;
   mutable rounds_done : int;
   mutable allocated : int;
   mutable write_listeners : (addr -> unit) list;
 }
+
+let workspace channels =
+  { busy = false;
+    head = Array.make channels (-1);
+    tail = Array.make channels (-1);
+    cur = Array.make channels (-1);
+    left = Array.make channels 0;
+    per_disk = Array.make channels 0;
+    next = [||];
+    attempts = [||] }
 
 let physical_disks_of ~disks ~spares = disks + spares
 let physical_blocks_of ~replicas ~blocks_per_disk = replicas * blocks_per_disk
@@ -43,6 +73,8 @@ let create ?(model = Independent_disks) ?stats ?trace ?faults ?factory
   if replicas < 1 then invalid_arg "Pdm.create: replicas must be >= 1";
   if replicas > disks then
     invalid_arg "Pdm.create: replicas must be <= disks (distinct disks)";
+  if replicas > Sys.int_size - 1 then
+    invalid_arg "Pdm.create: replicas must be <= 62 (one bit each)";
   if spares < 0 then invalid_arg "Pdm.create: spares must be >= 0";
   (match integrity with
    | Some i when i.overhead < 0 ->
@@ -96,6 +128,9 @@ let create ?(model = Independent_disks) ?stats ?trace ?faults ?factory
     remap = Hashtbl.create 16;
     spare_next = Array.make spares 0;
     fault_spec = faults;
+    empty = Array.make block_size None;
+    ws = workspace phys_disks;
+    views = [];
     trace;
     rounds_done = 0;
     allocated;
@@ -149,6 +184,11 @@ let phys t a j =
     | Some p -> p
     | None -> home t a j
 
+(* [(phys t a j).disk] without building the address. *)
+let phys_disk t a j =
+  if Hashtbl.length t.remap = 0 then (a.disk + j) mod t.disks
+  else (phys t a j).disk
+
 let check_addr t { disk; block } =
   if disk < 0 || disk >= t.disks then invalid_arg "Pdm: disk out of range";
   if block < 0 || block >= t.blocks_per_disk then
@@ -156,20 +196,44 @@ let check_addr t { disk; block } =
 
 let replica_disks t a =
   check_addr t a;
-  List.init t.replicas (fun j -> (phys t a j).disk)
+  List.init t.replicas (phys_disk t a)
 
-(* Keep the first element of each [key], in list order. *)
-let dedup key xs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun x ->
-      let k = key x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    xs
+let replica_addr t a ~replica =
+  check_addr t a;
+  if replica < 0 || replica >= t.replicas then
+    invalid_arg "Pdm.replica_addr: replica out of range";
+  phys t a replica
+
+let equal_addr (a : addr) (b : addr) = a.disk = b.disk && a.block = b.block
+
+(* Addresses hashed as one integer from disk and block. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = addr
+
+  let equal = equal_addr
+  let hash (a : addr) = (a.block * 65_599) + a.disk
+end)
+
+let rec assoc_addr a = function
+  | [] -> None
+  | (b, v) :: rest -> if equal_addr a b then Some v else assoc_addr a rest
+
+(* Keep the first element of each address, in list order; a list
+   without duplicates comes back as itself. *)
+let dedup addr_of xs =
+  match xs with
+  | [] | [ _ ] -> xs
+  | _ ->
+    let seen = Addr_tbl.create 16 in
+    let first x =
+      let a = addr_of x in
+      (not (Addr_tbl.mem seen a)) && (Addr_tbl.add seen a (); true)
+    in
+    if List.for_all first xs then xs
+    else begin
+      Addr_tbl.reset seen;
+      List.filter first xs
+    end
 
 let rounds_for t addrs =
   List.iter (check_addr t) addrs;
@@ -186,13 +250,13 @@ let block_copy t = function
   | Some slots -> Array.copy slots
 
 let add_disk_blocks t ~op per_disk =
-  Array.iteri
-    (fun d n ->
-      if n > 0 then
-        match op with
-        | Trace.Read -> Stats.add_disk_read t.stats ~disk:d ~blocks:n
-        | Trace.Write -> Stats.add_disk_write t.stats ~disk:d ~blocks:n)
-    per_disk
+  for d = 0 to Array.length per_disk - 1 do
+    let n = per_disk.(d) in
+    if n > 0 then
+      match op with
+      | Trace.Read -> Stats.add_disk_read t.stats ~disk:d ~blocks:n
+      | Trace.Write -> Stats.add_disk_write t.stats ~disk:d ~blocks:n
+  done
 
 (* Why a block transfer finally failed. *)
 type fail_reason = R_lost | R_corrupt | R_flaky
@@ -272,77 +336,90 @@ let sanitize_clean_request t ~channels ~paddrs ~rounds ~delivered =
           recomputed %d rounds"
          n rounds delivered expect)
 
+(* Append transfer [k] to the FIFO of queue [q]. *)
+(* pdm-lint: domain local — the machine's workspace queues; one scheduler per simulation, never shared *)
+let enqueue ws q k =
+  ws.next.(k) <- -1;
+  if ws.head.(q) < 0 then ws.head.(q) <- k else ws.next.(ws.tail.(q)) <- k;
+  ws.tail.(q) <- k
+
 (* Round-by-round execution of one request over the physical disks —
    the only way a block moves. [perform k ~attempt] completes the
    transfer of [paddrs.(k)], answering [`Done], [`Retry reason]
    (re-queue for a later round, up to the budget) or [`Fail reason]
    (the block cannot be served here; the caller's [on_fail] decides
    whether a replica takes over or the failure is terminal). Each disk
-   is a channel draining its own queue in the independent-disks model;
-   the head model has interchangeable channels over one queue. A
-   transfer occupies [cost] rounds of its channel, so a straggling or
-   retried block honestly delays everything queued behind it. The
-   addresses must be distinct. Returns the number of rounds used. *)
-(* pdm-lint: domain local — scheduler round ledger and per-disk queues; one scheduler per simulation, never shared *)
-let schedule t ~op ~paddrs ~perform ~on_fail =
-  let channels = physical_disks t in
-  let queues =
-    match t.model with
-    | Independent_disks ->
-      let qs = Array.init channels (fun _ -> Queue.create ()) in
-      Array.iteri (fun k p -> Queue.add k qs.(p.disk)) paddrs;
-      qs
-    | Parallel_heads ->
-      let q = Queue.create () in
-      Array.iteri (fun k _ -> Queue.add k q) paddrs;
-      [| q |]
-  in
-  let queue_of c =
-    match t.model with
-    | Independent_disks -> queues.(c)
-    | Parallel_heads -> queues.(0)
-  in
-  let attempts = Array.make (Array.length paddrs) 0 in
-  let current = Array.make channels None in
-  let busy () = Array.exists Option.is_some current in
-  let queued () = Array.exists (fun q -> not (Queue.is_empty q)) queues in
+   is a channel draining its own FIFO queue in the independent-disks
+   model; the head model has interchangeable channels over one queue.
+   A transfer occupies [cost] rounds of its channel, so a straggling
+   or retried block honestly delays everything queued behind it; a
+   retry goes to the tail of its channel's queue. The addresses must
+   be distinct. Returns the number of rounds used. The queues live in
+   the machine's workspace, so a request allocates nothing per block
+   or per round unless a trace records the round. *)
+(* pdm-lint: domain local — scheduler round ledger and the machine's workspace queues; one scheduler per simulation, never shared *)
+let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
+  let channels = Array.length ws.cur in
+  let n = Array.length paddrs in
+  if Array.length ws.next < n then begin
+    let len = max n (2 * Array.length ws.next) in
+    ws.next <- Array.make len (-1);
+    ws.attempts <- Array.make len 0
+  end;
+  let head = ws.head and next = ws.next in
+  let cur = ws.cur and left = ws.left and attempts = ws.attempts in
+  let one_queue = t.model = Parallel_heads in
+  Array.fill head 0 channels (-1);
+  Array.fill cur 0 channels (-1);
+  for k = 0 to n - 1 do
+    attempts.(k) <- 0;
+    enqueue ws (if one_queue then 0 else paddrs.(k).disk) k
+  done;
+  let queued = ref n and in_flight = ref 0 in
   let rounds_used = ref 0 in
   let delivered = ref 0 in
   let clean = ref true in
   let sanitizing = Sanitize.active () in
-  while busy () || queued () do
+  while !in_flight > 0 || !queued > 0 do
     let round_id = t.rounds_done + 1 in
-    let per_disk = Array.make channels 0 in
+    let per_disk =
+      match t.trace with
+      | None ->
+        Array.fill ws.per_disk 0 channels 0;
+        ws.per_disk
+      | Some _ -> Array.make channels 0
+    in
     let retries = ref 0 in
     let degraded = ref false in
     let touched = if sanitizing then Array.make channels 0 else [||] in
     let performs = ref 0 and accounted = ref 0 in
     for c = 0 to channels - 1 do
-      (match current.(c) with
-       | Some _ -> ()
-       | None ->
-         let q = queue_of c in
-         if not (Queue.is_empty q) then begin
-           let k = Queue.pop q in
-           let disk = paddrs.(k).disk in
-           let cost = t.backends.(disk).Backend.cost in
-           if sanitizing && cost < 1 then
-             Sanitize.fail ~check:"backend-cost" ~round:round_id
-               (Printf.sprintf
-                  "disk %d advertises cost %d; a transfer takes >= 1 round"
-                  disk cost);
-           current.(c) <- Some (k, cost)
-         end);
-      match current.(c) with
-      | None -> ()
-      | Some (k, remaining) ->
+      let q = if one_queue then 0 else c in
+      (if cur.(c) < 0 && head.(q) >= 0 then begin
+         let k = head.(q) in
+         head.(q) <- next.(k);
+         decr queued;
+         let disk = paddrs.(k).disk in
+         let cost = t.backends.(disk).Backend.cost in
+         if sanitizing && cost < 1 then
+           Sanitize.fail ~check:"backend-cost" ~round:round_id
+             (Printf.sprintf
+                "disk %d advertises cost %d; a transfer takes >= 1 round"
+                disk cost);
+         cur.(c) <- k;
+         left.(c) <- cost;
+         incr in_flight
+       end);
+      let k = cur.(c) in
+      if k >= 0 then begin
         let disk = paddrs.(k).disk in
         let bk = t.backends.(disk) in
         if bk.Backend.cost > 1 then degraded := true;
-        let remaining = remaining - 1 in
-        if remaining > 0 then current.(c) <- Some (k, remaining)
+        let remaining = left.(c) - 1 in
+        if remaining > 0 then left.(c) <- remaining
         else begin
-          current.(c) <- None;
+          cur.(c) <- -1;
+          decr in_flight;
           if sanitizing then begin
             incr performs;
             touched.(disk) <- touched.(disk) + 1
@@ -360,14 +437,16 @@ let schedule t ~op ~paddrs ~perform ~on_fail =
             incr accounted;
             incr retries;
             degraded := true;
-            let next = attempts.(k) + 1 in
-            if next > bk.Backend.max_retries then
-              on_fail k reason ~attempts:next
+            let again = attempts.(k) + 1 in
+            if again > bk.Backend.max_retries then
+              on_fail k reason ~attempts:again
             else begin
-              attempts.(k) <- next;
-              Queue.add k (queue_of c)
+              attempts.(k) <- again;
+              enqueue ws q k;
+              incr queued
             end
         end
+      end
     done;
     if sanitizing then
       sanitize_round t ~round_id ~channels ~touched ~performs:!performs
@@ -388,31 +467,40 @@ let schedule t ~op ~paddrs ~perform ~on_fail =
       ~delivered:!delivered;
   !rounds_used
 
-(* Strip and verify a raw stored block down to its payload. [Ok None]
-   = never written (reads as all-empty); [Error ()] = the stored bits
-   fail their checksum. Without an integrity envelope everything
-   passes. *)
-let verify t (d : 'a option array option) =
-  match t.integrity, d with
-  | None, _ -> Ok d
-  | Some _, None -> Ok None
-  | Some itg, Some stored ->
-    (match itg.check stored with
-     | Some payload -> Ok (Some payload)
-     | None -> Error ())
+(* A request that starts while another runs on this machine (a
+   backend or callback re-entering it) takes a fresh workspace. *)
+(* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
+let schedule t ~op ~paddrs ~perform ~on_fail =
+  let ws = if t.ws.busy then workspace (Array.length t.ws.cur) else t.ws in
+  ws.busy <- true;
+  match schedule_on t ws ~op ~paddrs ~perform ~on_fail with
+  | rounds ->
+    ws.busy <- false;
+    rounds
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ws.busy <- false;
+    Printexc.raise_with_backtrace e bt
 
 (* One read attempt at a physical address, as a scheduler transfer:
-   [`Done] once [deliver] has the verified payload, or why the block
-   must be retried or served elsewhere. *)
+   [`Done] once [deliver k] has the payload — [None] for a
+   never-written block, checksum cells stripped and verified when the
+   machine carries an integrity envelope — or why the block must be
+   retried or served elsewhere. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let read_attempt t p ~attempt deliver =
+let read_attempt t p ~attempt deliver k =
   match t.backends.(p.disk).Backend.read ~attempt p.block with
-  | Backend.Data d ->
-    (match verify t d with
-     | Ok payload ->
-       deliver payload;
+  | Backend.Data stored ->
+    (match t.integrity, stored with
+     | None, payload | Some _, (None as payload) ->
+       deliver k payload;
        `Done
-     | Error () -> `Retry R_corrupt)
+     | Some itg, Some image ->
+       (match itg.check image with
+        | Some _ as payload ->
+          deliver k payload;
+          `Done
+        | None -> `Retry R_corrupt))
   | Backend.Transient -> `Retry R_flaky
   | Backend.Lost ->
     t.down.(p.disk) <- true;
@@ -427,82 +515,123 @@ let read_attempt t p ~attempt deliver =
 let read_phys_batch t paddrs =
   let results = Array.make (Array.length paddrs) (Error R_lost) in
   let delivered = ref 0 in
-  let perform k ~attempt =
-    read_attempt t paddrs.(k) ~attempt (fun payload ->
-        results.(k) <- Ok payload;
-        incr delivered)
+  let deliver k payload =
+    results.(k) <- Ok payload;
+    incr delivered
   in
+  let perform k ~attempt = read_attempt t paddrs.(k) ~attempt deliver k in
   let on_fail k reason ~attempts:_ = results.(k) <- Error reason in
   let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
   Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
   results
 
-(* Replicated, verifying read of distinct logical blocks, each with
-   its candidate replicas in the order to try them. Each pass schedules
-   one physical candidate per still-unserved block — the first
-   candidate replica whose disk is not known down — and blocks that
-   fail move to their next replica for the following pass. A healthy
-   request is one pass (the seed's cost); discovering a dead disk costs
-   one extra pass for the affected blocks, after which the health
-   cache routes straight to the survivors. Only when a block runs out
-   of replicas does the terminal failure escape as a structured
-   exception. Answers come back in request order. *)
+(* The sanitizer's read-only-view check: every image the last
+   {!read_preferring} handed out must still equal its snapshot when
+   the machine's next counted request starts. Off, nothing is
+   recorded and this is one field read. *)
+(* pdm-lint: domain local — machine state; every machine belongs to
+   one shard, driven by that shard's single owning domain *)
+let check_views t =
+  match t.views with
+  | [] -> ()
+  | views ->
+    t.views <- [];
+    List.iter
+      (fun (a, image, snapshot) ->
+        if image <> snapshot then
+          Sanitize.fail ~check:"read-only-view" ~round:t.rounds_done
+            (Printf.sprintf
+               "block %d.%d was modified after read_preferring handed it \
+                out read-only"
+               a.disk a.block))
+      views
+
+(* Replica [j] is among a block's remaining candidates [mask]. *)
+let has mask j = mask land (1 lsl j) <> 0
+
+let rec lowest mask j = if has mask j then j else lowest mask (j + 1)
+
+(* The first remaining candidate other than [pref], ascending from [j],
+   whose disk is not known down; -1 if none. *)
+let rec next_live t a ~pref mask j =
+  if j >= t.replicas then -1
+  else if j <> pref && has mask j && not t.down.(phys_disk t a j) then j
+  else next_live t a ~pref mask (j + 1)
+
+(* The replica to try next among the candidates [mask], in failover
+   order — the preference, then the others ascending: the first whose
+   disk is not known down, else the first. *)
+let choose t a ~pref mask =
+  if has mask pref && not t.down.(phys_disk t a pref) then pref
+  else
+    match next_live t a ~pref mask 0 with
+    | -1 -> if has mask pref then pref else lowest mask 0
+    | j -> j
+
+(* Replicated, verifying read of distinct logical blocks [addrs], each
+   tried first on its preferred replica [prefs.(i)]. Each pass
+   schedules one physical candidate per still-unserved block ({!choose})
+   and blocks that fail move to their next replica for the following
+   pass, the most recent failure first. A healthy request is one pass
+   (the seed's cost); discovering a dead disk costs one extra pass for
+   the affected blocks, after which the health cache routes straight
+   to the survivors. Only when a block runs out of replicas does the
+   terminal failure escape as a structured exception. With [copy] each
+   answer is a fresh array; without it, the stored image itself (and
+   the machine's one [empty] block for a never-written address).
+   Answers come back in request order. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let read_candidates t requests =
-  let requests = Array.of_list requests in
-  let cands = Array.map snd requests in
-  let results = Array.make (Array.length requests) [||] in
-  let pending = ref (List.init (Array.length requests) Fun.id) in
-  while !pending <> [] do
-    let idx = Array.of_list !pending in
-    pending := [];
-    let chosen =
-      Array.map
-        (fun i ->
-          let a = fst requests.(i) in
-          match cands.(i) with
-          | [] ->
-            (* pdm-lint: allow R3 — unreachable: every pending entry
-               keeps >= 1 candidate (callers seed [0 .. r-1] with
-               r >= 1, and [on_fail] only re-queues the non-empty
-               remainder of the candidate list). *)
-            assert false
-          | first :: _ ->
-            (match
-               List.find_opt (fun j -> not t.down.((phys t a j).disk)) cands.(i)
-             with
-             | Some j -> j
-             | None -> first))
-        idx
-    in
-    let paddrs =
-      Array.mapi (fun k i -> phys t (fst requests.(i)) chosen.(k)) idx
-    in
-    let delivered = ref 0 in
-    let perform k ~attempt =
-      read_attempt t paddrs.(k) ~attempt (fun payload ->
-          results.(idx.(k)) <- block_copy t payload;
-          incr delivered)
-    in
+let read_candidates t ~copy addrs prefs =
+  let n = Array.length addrs in
+  let results = Array.make n t.empty in
+  let remaining = Array.make n ((1 lsl t.replicas) - 1) in
+  (* this pass's blocks, then the ones that failed it in failure order *)
+  let pending = Array.init n Fun.id and failed = Array.make n 0 in
+  let npending = ref n and nfailed = ref 0 in
+  let delivered = ref 0 in
+  let deliver k payload =
+    results.(pending.(k)) <-
+      (if copy then block_copy t payload
+       else match payload with Some image -> image | None -> t.empty);
+    incr delivered
+  in
+  while !npending > 0 do
+    let paddrs = Array.make !npending addrs.(pending.(0)) in
+    for k = 0 to !npending - 1 do
+      let i = pending.(k) in
+      let j = choose t addrs.(i) ~pref:prefs.(i) remaining.(i) in
+      remaining.(i) <- remaining.(i) land lnot (1 lsl j);
+      paddrs.(k) <- phys t addrs.(i) j
+    done;
+    nfailed := 0;
+    delivered := 0;
+    let perform k ~attempt = read_attempt t paddrs.(k) ~attempt deliver k in
     let on_fail k reason ~attempts =
-      let i = idx.(k) in
-      match List.filter (fun j -> j <> chosen.(k)) cands.(i) with
-      | [] -> raise_failure t paddrs.(k) reason attempts
-      | rest ->
-        cands.(i) <- rest;
-        pending := i :: !pending
+      let i = pending.(k) in
+      if remaining.(i) = 0 then raise_failure t paddrs.(k) reason attempts
+      else begin
+        failed.(!nfailed) <- i;
+        incr nfailed
+      end
     in
     let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
-    Stats.add_read_round t.stats ~blocks:!delivered ~rounds
+    Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
+    npending := !nfailed;
+    for x = 0 to !nfailed - 1 do
+      pending.(x) <- failed.(!nfailed - 1 - x)
+    done
   done;
-  Array.to_list (Array.mapi (fun i (a, _) -> (a, results.(i))) requests)
+  let rec answers i acc =
+    if i < 0 then acc else answers (i - 1) ((addrs.(i), results.(i)) :: acc)
+  in
+  answers (n - 1) []
 
-let all_replicas t = List.init t.replicas Fun.id
-
+(* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let read t addrs =
+  check_views t;
   List.iter (check_addr t) addrs;
-  read_candidates t
-    (List.map (fun a -> (a, all_replicas t)) (dedup Fun.id addrs))
+  let addrs = Array.of_list (dedup Fun.id addrs) in
+  read_candidates t ~copy:true addrs (Array.make (Array.length addrs) 0)
 
 let read_one t a =
   match read t [ a ] with
@@ -517,16 +646,25 @@ let read_one t a =
    each block (e.g. two-choice assignment onto the least-loaded disk);
    the chosen replica is tried first and the remaining ones stay as
    failover candidates in home order. On an unreplicated machine every
-   preference is 0 and this is exactly {!read}. *)
+   preference is 0 and this is {!read} without the copies: the answers
+   are the stored images themselves, read-only. Under the sanitizer
+   each image is snapshotted for {!check_views}. *)
+(* pdm-lint: domain local — down-disk mask and sanitizer views on t, owned by the scheduler *)
 let read_preferring t prefs =
-  List.iter (fun (a, _) -> check_addr t a) prefs;
-  read_candidates t
-    (List.map
-       (fun (a, j) ->
-         if j < 0 || j >= t.replicas then
-           invalid_arg "Pdm.read_preferring: replica out of range";
-         (a, j :: List.filter (fun x -> x <> j) (all_replicas t)))
-       (dedup fst prefs))
+  check_views t;
+  List.iter
+    (fun (a, j) ->
+      check_addr t a;
+      if j < 0 || j >= t.replicas then
+        invalid_arg "Pdm.read_preferring: replica out of range")
+    prefs;
+  let prefs = Array.of_list (dedup fst prefs) in
+  let answers =
+    read_candidates t ~copy:false (Array.map fst prefs) (Array.map snd prefs)
+  in
+  if Sanitize.active () then
+    t.views <- List.map (fun (a, image) -> (a, image, Array.copy image)) answers;
+  answers
 
 (* Run a user-supplied integrity envelope, cross-checking (under the
    sanitizer) that it really produces stored images of the size it
@@ -544,14 +682,15 @@ let apply_envelope t itg slots =
          itg.tag itg.overhead t.block_size (Array.length sealed));
   sealed
 
-(* Seal a payload for storage (checksum appended when the machine
-   carries an integrity envelope). Without an envelope the payload
-   itself is returned: {!write_attempt} copies whatever it stores. *)
+(* Seal a payload for storage: a fresh image the machine owns, the
+   payload's copy or its envelope (checksum appended), which every
+   replica then stores as is. No backend writes into a stored image
+   (a write or poke replaces it), so replicas can share one. *)
 let seal t slots =
   if Array.length slots <> t.block_size then
     invalid_arg "Pdm.write: block has wrong length";
   match t.integrity with
-  | None -> slots
+  | None -> Array.copy slots
   | Some itg -> apply_envelope t itg slots
 
 (* One write attempt of already-sealed data at a physical address, as
@@ -561,7 +700,7 @@ let seal t slots =
 let write_attempt t p data stored =
   let bk = t.backends.(p.disk) in
   let fresh = not (bk.Backend.exists p.block) in
-  match bk.Backend.write p.block (Array.copy data) with
+  match bk.Backend.write p.block data with
   | () ->
     if fresh then t.allocated <- t.allocated + 1;
     stored ();

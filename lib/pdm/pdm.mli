@@ -60,11 +60,13 @@
 
     Blocks are exposed as ['a option array] copies of the {e payload}
     (checksum cells are stripped before the caller sees them): [None]
-    marks an empty slot. Mutating a returned block does not change the
-    disk; all updates go through {!write}, so every byte that reaches
-    a disk is counted. [peek] and [poke] bypass accounting and fault
-    injection and exist for tests and construction-time bulk loading
-    only — production code paths never use them. *)
+    marks an empty slot. Mutating a block {!read} returned does not
+    change the disk; all updates go through {!write}, so every byte
+    that reaches a disk is counted. {!read_preferring} is the one
+    exception: it answers read-only views, not copies. [peek] and
+    [poke] bypass accounting and fault injection and exist for tests
+    and construction-time bulk loading only — production code paths
+    never use them. *)
 
 type model =
   | Independent_disks  (** one block per disk per round (the PDM) *)
@@ -74,6 +76,14 @@ type 'a t
 
 type addr = { disk : int; block : int }
 (** Address of one block. *)
+
+val assoc_addr : addr -> (addr * 'b) list -> 'b option
+(** [List.assoc_opt] over block addresses, matched by two integer
+    compares instead of polymorphic compare. *)
+
+(** Hash tables keyed by block address: disk and block hashed as one
+    integer and compared as integers. *)
+module Addr_tbl : Hashtbl.S with type key = addr
 
 type 'a integrity = {
   tag : string;  (** Envelope name, for error messages and docs. *)
@@ -115,7 +125,8 @@ val create :
     [None]. Disks that already hold blocks (a reopened directory) keep
     them, and {!allocated_blocks} starts from their count. [faults]
     wraps whatever backend each disk has. [replicas] must be between 1
-    and [disks] so the copies land on distinct disks. *)
+    and [disks] so the copies land on distinct disks (and at most 62,
+    one bit each in the failover bookkeeping). *)
 
 val disks : 'a t -> int
 (** Logical disk count D — the geometry dictionaries address. *)
@@ -157,8 +168,10 @@ val set_sanitize : bool -> unit
     block accounted, a request that ran without retry, failover or
     slow disk charging exactly its closed-form rounds (re-derived
     independently of the scheduler), integrity envelopes of the
-    declared size — and raises {!Sanitize.Sanitizer_violation} on the
-    first discrepancy.
+    declared size, and ([read-only-view]) no image {!read_preferring}
+    handed out changed before the machine's next {!read},
+    {!read_preferring} or {!write} — and raises
+    {!Sanitize.Sanitizer_violation} on the first discrepancy.
     Off (the default) the checks cost nothing. Results and charged
     costs are identical with the sanitizer on or off. *)
 
@@ -182,20 +195,38 @@ val replica_disks : 'a t -> addr -> int list
     repair-time remapping). A scheduler can combine this with
     {!disk_down} to place a read on the least-loaded healthy copy. *)
 
+val replica_addr : 'a t -> addr -> replica:int -> addr
+(** The physical address (disk and block) currently holding one
+    replica of the logical block, following any repair-time
+    remapping. *)
+
 val read_preferring : 'a t -> (addr * int) list -> (addr * 'a option array) list
 (** [read_preferring t [(a, j); ...]] is {!read} with the replica
     choice made by the caller: block [a] is served by replica [j]
     when that disk answers, failing over to the remaining replicas
-    (in home order) otherwise. Duplicate addresses keep their first
-    preference; answers come in first-request order, as for {!read}.
-    On an unreplicated machine every preference must be 0 and the call
-    is exactly {!read}. The batched query engine uses this to place
-    each fetch on the least-loaded healthy replica disk. *)
+    (in home order) otherwise. Every preference must be a valid
+    replica ([0 <= j < replicas t]), duplicates included; duplicate
+    addresses then keep their first preference, and answers come in
+    first-request order, as for {!read}. Rounds, stats and trace
+    events are exactly {!read}'s; on an unreplicated machine every
+    preference is 0.
+
+    Unlike {!read}, the answers are not copies: each is the stored
+    image itself (checksum cells stripped), or one empty block shared
+    by the machine for a never-written address. They are {e read-only}
+    — the caller must not write into them — and stay valid snapshots
+    after later writes, which store fresh arrays. The sanitizer's
+    [read-only-view] check enforces this (see {!set_sanitize}). The
+    batched query engine uses this to place each fetch on the
+    least-loaded healthy replica disk without copying its blocks. *)
 
 val write : 'a t -> (addr * 'a option array) list -> unit
 (** [write t blocks] stores the given blocks — all replicas of each —
     charging the parallel write rounds the scheduler used. Each array
     must have length [block_size]; duplicate addresses are an error.
+    Each block is stored as one fresh image (a copy, or its sealed
+    envelope) that all its replicas share, so the caller keeps its
+    arrays.
     The write succeeds as long as at least one replica of every block
     lands. *)
 

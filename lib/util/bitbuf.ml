@@ -26,13 +26,24 @@ module Writer = struct
     end;
     w.bits <- w.bits + 1
 
+  (* Each step fills the rest of the current byte (bits past the
+     cursor are still zero). *)
+  (* pdm-lint: domain local — writer cursor is stack-local codec state, never shared *)
   let add_bits w ~value ~width =
     if width < 0 || width > 62 then invalid_arg "Bitbuf.add_bits: width";
     if width < 62 && value lsr width <> 0 then
       invalid_arg "Bitbuf.add_bits: value does not fit width";
     if value < 0 then invalid_arg "Bitbuf.add_bits: negative value";
-    for i = width - 1 downto 0 do
-      add_bit w ((value lsr i) land 1 = 1)
+    ensure w width;
+    let left = ref width in
+    while !left > 0 do
+      let byte = w.bits lsr 3 and room = 8 - (w.bits land 7) in
+      let n = min room !left in
+      let chunk = (value lsr (!left - n)) land ((1 lsl n) - 1) in
+      let cur = Char.code (Bytes.get w.buf byte) in
+      Bytes.set w.buf byte (Char.chr (cur lor (chunk lsl (room - n))));
+      w.bits <- w.bits + n;
+      left := !left - n
     done
 
   let add_unary w n =
@@ -74,12 +85,19 @@ module Reader = struct
     r.pos <- r.pos + 1;
     Char.code (Bytes.get r.data byte) land (0x80 lsr off) <> 0
 
+  (* Each step takes the rest of the current byte. *)
+  (* pdm-lint: domain local — reader cursor is stack-local codec state, never shared *)
   let read_bits r ~width =
     if width < 0 || width > 62 then invalid_arg "Bitbuf.read_bits: width";
     if remaining r < width then invalid_arg "Bitbuf.read_bits: end of buffer";
-    let v = ref 0 in
-    for _ = 1 to width do
-      v := (!v lsl 1) lor (if read_bit r then 1 else 0)
+    let v = ref 0 and left = ref width in
+    while !left > 0 do
+      let byte = Char.code (Bytes.get r.data (r.pos lsr 3)) in
+      let room = 8 - (r.pos land 7) in
+      let n = min room !left in
+      v := (!v lsl n) lor ((byte lsr (room - n)) land ((1 lsl n) - 1));
+      r.pos <- r.pos + n;
+      left := !left - n
     done;
     !v
 

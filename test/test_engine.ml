@@ -303,6 +303,87 @@ let test_read_preferring_dedups () =
   check "duplicates collapse" 1
     (List.length (Pdm.read_preferring m [ (a, 0); (a, 1) ]))
 
+let test_read_preferring_validates_duplicates () =
+  (* Only the first preference of a duplicate address serves the
+     block, but every preference must still be a valid replica. *)
+  let m : int Pdm.t =
+    Pdm.create ~replicas:2 ~disks:4 ~block_size:4 ~blocks_per_disk:8 ()
+  in
+  let a = { Pdm.disk = 1; block = 2 } in
+  Alcotest.check_raises "a duplicate's preference is validated"
+    (Invalid_argument "Pdm.read_preferring: replica out of range") (fun () ->
+      ignore (Pdm.read_preferring m [ (a, 0); (a, 5) ]))
+
+(* --- the read-only-view sanitizer check --- *)
+
+(* A two-step synthetic plan: key [k] fetches two blocks, then a third;
+   the answer sums the three blocks' first words. With [scribble] the
+   first continuation writes into the blocks it was handed. *)
+let two_step_dict ~scribble =
+  let first k =
+    [ { Pdm.disk = k mod 8; block = k mod 8 };
+      { Pdm.disk = (k + 3) mod 8; block = 0 } ]
+  in
+  let second k = [ { Pdm.disk = (k + 5) mod 8; block = k mod 4 } ] in
+  let m, dict, _ = synthetic ~plan:first () in
+  let sum bs =
+    List.fold_left
+      (fun acc (_, arr) -> match arr.(0) with Some v -> acc + v | None -> acc)
+      0 bs
+  in
+  let lookup k =
+    Engine.Fetch
+      ( first k,
+        fun bs ->
+          if scribble then List.iter (fun (_, arr) -> arr.(0) <- None) bs;
+          let s = sum bs in
+          Engine.Fetch
+            ( second k,
+              fun bs2 ->
+                Engine.Done (Some (Bytes.of_string (string_of_int (s + sum bs2))))
+            ) )
+  in
+  (m, { dict with Engine.lookup })
+
+let test_sanitizer_catches_written_view () =
+  let _, dict = two_step_dict ~scribble:true in
+  let eng = Engine.create ~config:(one_batch_config 1) dict in
+  match
+    Sanitize.with_sanitize true (fun () -> Engine.run eng [ Engine.Lookup 1 ])
+  with
+  | _ -> Alcotest.fail "expected a read-only-view violation"
+  | exception Sanitize.Sanitizer_violation v ->
+    Alcotest.(check string) "check" "read-only-view" v.Sanitize.check
+
+let test_sanitizer_view_check_is_transparent () =
+  let run sanitize =
+    let m, dict = two_step_dict ~scribble:false in
+    let tr = Pdm_sim.Trace.create () in
+    Pdm.set_trace m (Some tr);
+    let eng = Engine.create ~config:(one_batch_config 5) dict in
+    let requests = List.init 12 (fun k -> Engine.Lookup k) in
+    let answers =
+      Sanitize.with_sanitize sanitize (fun () -> Engine.run eng requests)
+    in
+    ( List.map
+        (function
+          | Ok (o : Engine.outcome) -> o.Engine.value
+          | Error _ -> Alcotest.fail "lookup failed")
+        answers,
+      Engine.round eng,
+      Pdm.rounds_total m,
+      Pdm_sim.Trace.events tr )
+  in
+  let off_answers, off_rounds, off_machine, off_trace = run false in
+  let on_answers, on_rounds, on_machine, on_trace = run true in
+  Alcotest.(check (list (option bytes))) "answers" off_answers on_answers;
+  check "engine rounds" off_rounds on_rounds;
+  check "machine rounds" off_machine on_machine;
+  checkb "trace events" true (off_trace = on_trace);
+  Alcotest.(check (option bytes)) "answer of key 3"
+    (Some (Bytes.of_string (string_of_int (303 + 600 + 3))))
+    (List.nth on_answers 3)
+
 (* --- cache coherence with writers that bypass the cache --- *)
 
 let test_cache_sees_direct_writes () =
@@ -679,7 +760,13 @@ let suite =
      [ tc "uses the requested replica" `Quick
          test_read_preferring_uses_requested_replica;
        tc "fails over and validates" `Quick test_read_preferring_fails_over;
-       tc "dedups" `Quick test_read_preferring_dedups ]);
+       tc "dedups" `Quick test_read_preferring_dedups;
+       tc "validates a duplicate's preference" `Quick
+         test_read_preferring_validates_duplicates;
+       tc "sanitizer: a written view is caught" `Quick
+         test_sanitizer_catches_written_view;
+       tc "sanitizer: read-only plans unchanged" `Quick
+         test_sanitizer_view_check_is_transparent ]);
     ("cache.coherence",
      [ tc "direct writes and pokes invalidate" `Quick
          test_cache_sees_direct_writes;

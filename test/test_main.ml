@@ -14,4 +14,5 @@ let () =
         Test_wave3.suite; Test_soak.suite; Test_fs.suite; Test_fs_model.suite; Test_properties.suite;
         Test_fault_trace.suite; Test_repair.suite; Test_engine.suite;
         Test_lint.suite; Test_sim.suite; Test_cluster.suite;
-        Test_chaos.suite; Test_io.suite; Test_server.suite ])
+        Test_chaos.suite; Test_io.suite; Test_server.suite;
+        Test_read_path.suite; Test_bit_codec.suite ])
