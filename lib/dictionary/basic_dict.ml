@@ -2,7 +2,6 @@ module Pdm = Pdm_sim.Pdm
 module Bipartite = Pdm_expander.Bipartite
 module Seeded = Pdm_expander.Seeded
 module Expansion = Pdm_expander.Expansion
-module Imath = Pdm_util.Imath
 
 type config = {
   universe : int;
@@ -78,6 +77,19 @@ let create ~machine ~disk_offset ~block_offset cfg =
   { cfg; machine; disk_offset; block_offset; graph; width; slots_per_block;
     size = 0; tombstones = 0 }
 
+(* Live records and tombstones (records keyed by the universe size,
+   never a legal key) in a block. *)
+let census t block =
+  let live = ref 0 and dead = ref 0 in
+  for s = 0 to Codec.Slots.per_block ~block_words:(Array.length block) ~width:t.width - 1 do
+    match Codec.Slots.read block ~width:t.width s with
+    | Some r when r.(0) = t.cfg.universe -> incr dead
+    | Some _ -> incr live
+    | None -> ()
+  done;
+  (!live, !dead)
+
+(* pdm-lint: domain local — counters of the handle being rebuilt *)
 let recover ~machine ~disk_offset ~block_offset cfg =
   let t = create ~machine ~disk_offset ~block_offset cfg in
   (* One counted pass over the structure's blocks: blocks_per_disk
@@ -89,16 +101,9 @@ let recover ~machine ~disk_offset ~block_offset cfg =
     in
     List.iter
       (fun (_, block) ->
-        let slots =
-          Codec.Slots.per_block ~block_words:(Array.length block) ~width:t.width
-        in
-        for s = 0 to slots - 1 do
-          match Codec.Slots.read block ~width:t.width s with
-          | Some r when r.(0) = cfg.universe ->
-            t.tombstones <- t.tombstones + 1
-          | Some _ -> t.size <- t.size + 1
-          | None -> ()
-        done)
+        let live, dead = census t block in
+        t.size <- t.size + live;
+        t.tombstones <- t.tombstones + dead)
       (Pdm.read machine addrs)
   done;
   t
@@ -123,65 +128,67 @@ let bucket_addrs t ~stripe ~local =
       { Pdm.disk = t.disk_offset + stripe;
         block = t.block_offset + (local * t.cfg.bucket_blocks) + b })
 
-let bucket_of_key t key i =
-  let stripe, local = Bipartite.neighbor_in_stripe t.graph key i in
-  (stripe, local)
+let plan_blocks t = t.cfg.degree * t.cfg.bucket_blocks
+
+(* Neighbor i lies in stripe i: its bucket's blocks go to plan
+   positions [i·bucket_blocks, …+bucket_blocks). *)
+(* pdm-lint: domain local — fills the caller's own plan array *)
+let fill_addresses t key dst ~off =
+  let bb = t.cfg.bucket_blocks in
+  let w = Bipartite.stripe_width t.graph in
+  for i = 0 to t.cfg.degree - 1 do
+    let first = t.block_offset + (Bipartite.neighbor t.graph key i mod w * bb) in
+    for b = 0 to bb - 1 do
+      dst.(off + (i * bb) + b) <-
+        { Pdm.disk = t.disk_offset + i; block = first + b }
+    done
+  done
 
 let addresses t key =
-  List.concat
-    (List.init t.cfg.degree (fun i ->
-         let stripe, local = bucket_of_key t key i in
-         bucket_addrs t ~stripe ~local))
-
-(* In-memory image of one bucket: the list of its blocks, outer index =
-   block within bucket. *)
-let bucket_image blocks_by_addr t ~stripe ~local =
-  List.map
-    (fun a ->
-      match Pdm.assoc_addr a blocks_by_addr with
-      | Some b -> (a, b)
-      | None -> invalid_arg "Basic_dict: missing block in supplied fetch")
-    (bucket_addrs t ~stripe ~local)
+  let dst = Array.make (plan_blocks t) { Pdm.disk = 0; block = 0 } in
+  fill_addresses t key dst ~off:0;
+  dst
 
 let value_of_record t record =
   Codec.bytes_of_words_len
     (Array.sub record 1 (t.width - 1))
     ~len:t.cfg.value_bytes
 
-(* Search one bucket image for a key: (block addr, block, slot). *)
-let find_slot_in_bucket t image key =
-  let rec loop = function
-    | [] -> None
-    | (addr, block) :: rest ->
-      (match Codec.Slots.find_key block ~width:t.width ~key with
-       | Some s -> Some (addr, block, s)
-       | None -> loop rest)
+(* The key's record in a fetched plan: [j * slots_per_block + s] for
+   slot [s] of plan position [j], the first match in plan order, or
+   -1. *)
+let find_slot t key blocks ~off =
+  let n = plan_blocks t in
+  let rec go j =
+    if j >= n then -1
+    else
+      match Codec.Slots.find_key blocks.(off + j) ~width:t.width ~key with
+      | Some s -> (j * t.slots_per_block) + s
+      | None -> go (j + 1)
   in
-  loop image
+  go 0
 
-let find_in t key blocks =
-  let rec over_buckets i =
-    if i >= t.cfg.degree then None
-    else begin
-      let stripe, local = bucket_of_key t key i in
-      let image = bucket_image blocks t ~stripe ~local in
-      match find_slot_in_bucket t image key with
-      | Some (_, block, s) ->
-        (match Codec.Slots.read block ~width:t.width s with
-         | Some record -> Some (value_of_record t record)
-         | None ->
-           (* pdm-lint: allow R3 — unreachable: [find_slot_in_bucket]
-              only answers slots it just read as occupied from this
-              same image. *)
-           assert false)
-      | None -> over_buckets (i + 1)
-    end
-  in
-  over_buckets 0
+let find_in t key blocks ~off =
+  match find_slot t key blocks ~off with
+  | -1 -> None
+  | at ->
+    Option.map (value_of_record t)
+      (Codec.Slots.read
+         blocks.(off + (at / t.slots_per_block))
+         ~width:t.width (at mod t.slots_per_block))
 
-let fetch t key = Pdm.read t.machine (addresses t key)
+let fetch t key = Pdm.read_views t.machine (addresses t key)
 
-let find t key = find_in t key (fetch t key)
+let read_plans parts =
+  let n = Array.length parts in
+  let offs = Array.make (n + 1) 0 in
+  Array.iteri (fun i (d, _) -> offs.(i + 1) <- offs.(i) + plan_blocks d) parts;
+  let addrs = Array.make offs.(n) { Pdm.disk = 0; block = 0 } in
+  Array.iteri (fun i (d, key) -> fill_addresses d key addrs ~off:offs.(i)) parts;
+  if n = 0 then ([||], offs)
+  else (Pdm.read_views (fst parts.(0)).machine addrs, offs)
+
+let find t key = find_in t key (fetch t key) ~off:0
 
 let mem t key = find t key <> None
 
@@ -193,66 +200,51 @@ let record_of t key value =
   Bytes.blit value 0 padded 0 (Bytes.length value);
   Array.append [| key |] (Codec.words_of_bytes padded)
 
-let bucket_load t image =
-  List.fold_left
-    (fun acc (_, block) -> acc + Codec.Slots.count block ~width:t.width)
-    0 image
-
+(* Plan position [j]'s block with slot [s] set to [record]: a copy, as
+   the fetched images are read-only. *)
 (* pdm-lint: domain local — staged block edits on per-operation scratch copies *)
-let prepare_insert t key value blocks =
+let edited t key blocks ~off j s record =
+  let block = Array.copy blocks.(off + j) in
+  Codec.Slots.write block ~width:t.width s record;
+  ((addresses t key).(j), block)
+
+(* pdm-lint: domain local — size accounting on the dictionary's own handle *)
+let prepare_insert t key value blocks ~off =
   let record = record_of t key value in
-  let images =
-    List.init t.cfg.degree (fun i ->
-        let stripe, local = bucket_of_key t key i in
-        bucket_image blocks t ~stripe ~local)
-  in
-  (* Update in place when present. *)
-  let existing =
-    List.fold_left
-      (fun acc image ->
-        match acc with
-        | Some _ -> acc
-        | None -> find_slot_in_bucket t image key)
-      None images
-  in
-  match existing with
-  | Some (addr, block, s) ->
-    Codec.Slots.write block ~width:t.width s (Some record);
-    (addr, block)
-  | None ->
+  match find_slot t key blocks ~off with
+  | -1 ->
     if t.size >= t.cfg.capacity then
       invalid_arg "Basic_dict.insert: at capacity";
     (* Greedy k = 1: least-loaded neighbor bucket, ties to stripe 0. *)
-    let best = ref None in
-    List.iter
-      (fun image ->
-        let load = bucket_load t image in
-        match !best with
-        | Some (_, l) when l <= load -> ()
-        | Some _ | None -> best := Some (image, load))
-      images;
-    (match !best with
-     | None ->
-       (* pdm-lint: allow R3 — unreachable: [images] holds one image
-          per neighbor bucket and the graph degree is >= 1, so the
-          greedy scan always selects a least-loaded bucket. *)
-       assert false
-     | Some (image, _) ->
-       let rec place = function
-         | [] -> raise (Overflow key)
-         | (addr, block) :: rest ->
-           (match Codec.Slots.first_free block ~width:t.width with
-            | Some s ->
-              Codec.Slots.write block ~width:t.width s (Some record);
-              t.size <- t.size + 1;
-              (addr, block)
-            | None -> place rest)
-       in
-       place image)
+    let bb = t.cfg.bucket_blocks in
+    let best = ref 0 and best_load = ref max_int in
+    for i = 0 to t.cfg.degree - 1 do
+      let load = ref 0 in
+      for b = 0 to bb - 1 do
+        load := !load + Codec.Slots.count blocks.(off + (i * bb) + b) ~width:t.width
+      done;
+      if !load < !best_load then begin
+        best := i;
+        best_load := !load
+      end
+    done;
+    let rec place j =
+      if j >= (!best + 1) * bb then raise (Overflow key)
+      else
+        match Codec.Slots.first_free blocks.(off + j) ~width:t.width with
+        | Some s ->
+          t.size <- t.size + 1;
+          edited t key blocks ~off j s (Some record)
+        | None -> place (j + 1)
+    in
+    place (!best * bb)
+  | at ->
+    (* Update in place when present. *)
+    edited t key blocks ~off (at / t.slots_per_block)
+      (at mod t.slots_per_block) (Some record)
 
 let insert t key value =
-  let blocks = fetch t key in
-  let addr, block = prepare_insert t key value blocks in
+  let addr, block = prepare_insert t key value (fetch t key) ~off:0 in
   Pdm.write t.machine [ (addr, block) ]
 
 let bulk_load t data =
@@ -312,29 +304,25 @@ let tombstone_record t =
   r.(0) <- t.cfg.universe;
   r
 
-(* pdm-lint: domain local — staged block edits on per-operation scratch copies *)
-let prepare_delete t key blocks =
-  let rec over_buckets i =
-    if i >= t.cfg.degree then None
-    else begin
-      let stripe, local = bucket_of_key t key i in
-      let image = bucket_image blocks t ~stripe ~local in
-      match find_slot_in_bucket t image key with
-      | Some (addr, block, s) ->
-        if t.cfg.tombstone then begin
-          Codec.Slots.write block ~width:t.width s (Some (tombstone_record t));
-          t.tombstones <- t.tombstones + 1
-        end
-        else Codec.Slots.write block ~width:t.width s None;
-        t.size <- t.size - 1;
-        Some (addr, block)
-      | None -> over_buckets (i + 1)
-    end
-  in
-  over_buckets 0
+(* pdm-lint: domain local — size and tombstone accounting on the dictionary's own handle *)
+let prepare_delete t key blocks ~off =
+  match find_slot t key blocks ~off with
+  | -1 -> None
+  | at ->
+    let record =
+      if t.cfg.tombstone then begin
+        t.tombstones <- t.tombstones + 1;
+        Some (tombstone_record t)
+      end
+      else None
+    in
+    t.size <- t.size - 1;
+    Some
+      (edited t key blocks ~off (at / t.slots_per_block)
+         (at mod t.slots_per_block) record)
 
 let delete t key =
-  match prepare_delete t key (fetch t key) with
+  match prepare_delete t key (fetch t key) ~off:0 with
   | Some (addr, block) ->
     Pdm.write t.machine [ (addr, block) ];
     true
@@ -342,7 +330,7 @@ let delete t key =
 
 let records_of_blocks t blocks =
   List.concat_map
-    (fun (_, block) ->
+    (fun block ->
       let out = ref [] in
       let n = Codec.Slots.per_block ~block_words:(Array.length block) ~width:t.width in
       for s = n - 1 downto 0 do
@@ -365,39 +353,28 @@ let read_bucket_entries t g =
   if g < 0 || g >= bucket_count t then
     invalid_arg "Basic_dict.read_bucket_entries: bucket out of range";
   let addrs = global_bucket_addrs t g in
-  records_of_blocks t (Pdm.read t.machine addrs)
+  records_of_blocks t (List.map snd (Pdm.read t.machine addrs))
 
 let drain_bucket t g =
   if g < 0 || g >= bucket_count t then
     invalid_arg "Basic_dict.drain_bucket: bucket out of range";
   let addrs = global_bucket_addrs t g in
-  let blocks = Pdm.read t.machine addrs in
+  let blocks = List.map snd (Pdm.read t.machine addrs) in
   (* Draining physically empties the bucket, releasing tombstones. *)
-  let dead = ref 0 in
-  List.iter
-    (fun (_, block) ->
-      let slots = Codec.Slots.per_block ~block_words:(Array.length block) ~width:t.width in
-      for s = 0 to slots - 1 do
-        match Codec.Slots.read block ~width:t.width s with
-        | Some r when r.(0) = t.cfg.universe -> incr dead
-        | Some _ | None -> ()
-      done)
-    blocks;
+  let dead = List.fold_left (fun n b -> n + snd (census t b)) 0 blocks in
   let records = records_of_blocks t blocks in
-  if records <> [] || !dead > 0 then begin
+  if records <> [] || dead > 0 then begin
     let empty = Array.make (Pdm.block_size t.machine) None in
     Pdm.write t.machine (List.map (fun a -> (a, Array.copy empty)) addrs);
     t.size <- t.size - List.length records;
-    t.tombstones <- t.tombstones - !dead
+    t.tombstones <- t.tombstones - dead
   end;
   records
 
 let entries t =
   let out = ref [] in
   for g = bucket_count t - 1 downto 0 do
-    let blocks =
-      List.map (fun a -> (a, Pdm.peek t.machine a)) (global_bucket_addrs t g)
-    in
+    let blocks = List.map (Pdm.peek t.machine) (global_bucket_addrs t g) in
     out := records_of_blocks t blocks @ !out
   done;
   !out
@@ -411,14 +388,9 @@ let clear t =
   t.tombstones <- 0
 
 let bucket_loads t =
-  Array.init
-    (t.cfg.degree * t.cfg.buckets_per_stripe)
-    (fun g ->
-      let stripe = g / t.cfg.buckets_per_stripe in
-      let local = g mod t.cfg.buckets_per_stripe in
+  Array.init (bucket_count t) (fun g ->
       List.fold_left
         (fun acc a -> acc + Codec.Slots.count (Pdm.peek t.machine a) ~width:t.width)
-        0
-        (bucket_addrs t ~stripe ~local))
+        0 (global_bucket_addrs t g))
 
 let max_load t = Array.fold_left max 0 (bucket_loads t)

@@ -15,9 +15,12 @@
     - insertions and deletions add one write round.
 
     Several dictionaries can share one machine at different disk and
-    block offsets; {!addresses} and {!find_in} let a composite
+    block offsets; {!fill_addresses} and {!find_in} let a composite
     structure (Sections 4.2a, 4.3, global rebuilding) fetch many
-    sub-dictionaries' blocks in a single combined parallel I/O. *)
+    sub-dictionaries' blocks in a single combined parallel I/O. A
+    key's probe plan is positional: block [j] of the fetch answers
+    address [j] of the plan, at the offset where the caller put the
+    plan. *)
 
 type config = {
   universe : int;          (** size u of the key universe *)
@@ -89,14 +92,27 @@ val record_width : t -> int
 
 val slots_per_bucket : t -> int
 
-val addresses : t -> int -> Pdm_sim.Pdm.addr list
-(** The blocks a lookup of [key] must read (d × bucket_blocks
-    addresses, one bucket per disk). *)
+val plan_blocks : t -> int
+(** d × bucket_blocks: the length of a key's probe plan. *)
 
-val find_in :
-  t -> int -> (Pdm_sim.Pdm.addr * int option array) list -> Bytes.t option
-(** Decode a lookup from blocks already fetched (a superset of
-    {!addresses} is fine — extra blocks are ignored). *)
+val fill_addresses : t -> int -> Pdm_sim.Pdm.addr array -> off:int -> unit
+(** [fill_addresses t key dst ~off] writes the blocks a lookup of
+    [key] reads into [dst.(off)] … [dst.(off + plan_blocks t - 1)]:
+    block [b] of the key's bucket on the dictionary's [i]-th disk at
+    [off + i × bucket_blocks + b]. *)
+
+val addresses : t -> int -> Pdm_sim.Pdm.addr array
+(** The key's plan in a fresh array ({!fill_addresses} at offset 0). *)
+
+val find_in : t -> int -> int option array array -> off:int -> Bytes.t option
+(** Decode a lookup from fetched blocks: block [off + j] answers
+    address [j] of {!addresses}. *)
+
+val read_plans : (t * int) array -> int option array array * int array
+(** [read_plans [| (d0, k0); (d1, k1); … |]] reads the plans of key
+    [ki] in dictionary [di] — all on one machine — side by side in one
+    request; [di]'s part starts at offset [i] of the returned offsets,
+    for {!find_in} and {!prepare_insert}. *)
 
 val find : t -> int -> Bytes.t option
 (** [find t key] = fetch + decode; [bucket_blocks] parallel I/Os. *)
@@ -104,10 +120,11 @@ val find : t -> int -> Bytes.t option
 val mem : t -> int -> bool
 
 val prepare_insert :
-  t -> int -> Bytes.t -> (Pdm_sim.Pdm.addr * int option array) list ->
+  t -> int -> Bytes.t -> int option array array -> off:int ->
   Pdm_sim.Pdm.addr * int option array
-(** Place (or update) the key inside already-fetched block images and
-    return the one modified block. The caller {b must} write that
+(** Place (or update) the key in fetched blocks laid out as for
+    {!find_in} and return the one modified block: an edited copy, the
+    fetched images stay untouched. The caller {b must} write that
     block — composite structures include it in a combined write round
     so a membership update shares the round with their own writes.
     Size accounting happens here, so do not drop the result. *)
@@ -129,11 +146,12 @@ val insert : t -> int -> Bytes.t -> unit
     dictionary is at capacity. *)
 
 val prepare_delete :
-  t -> int -> (Pdm_sim.Pdm.addr * int option array) list ->
+  t -> int -> int option array array -> off:int ->
   (Pdm_sim.Pdm.addr * int option array) option
-(** Remove the key from already-fetched block images, returning the
-    modified block (the caller {b must} write it) or [None] when
-    absent. Honors tombstone mode; size accounting happens here. *)
+(** Remove the key from fetched blocks laid out as for {!find_in},
+    returning the modified block as an edited copy (the caller {b must}
+    write it) or [None] when absent. Honors tombstone mode; size
+    accounting happens here. *)
 
 val delete : t -> int -> bool
 (** Remove a key; reports whether it was present. In the default mode

@@ -1,8 +1,5 @@
 module Pdm = Pdm_sim.Pdm
-module Journal = Pdm_sim.Journal
 module Bipartite = Pdm_expander.Bipartite
-module Seeded = Pdm_expander.Seeded
-module Imath = Pdm_util.Imath
 
 type config = {
   universe : int;
@@ -14,341 +11,124 @@ type config = {
   seed : int;
 }
 
-type t = {
-  cfg : config;
-  machine : int Pdm.t;
-  mutable membership : Basic_dict.t;
-  arrays : Field_store.t array;  (* A_1 .. A_l *)
-  m : int;                       (* fields per key, 2d/3 *)
-  field_bits : int;
-  journal : Journal.t option;
-  mutable crash : Journal.crash_point option;
-  mutable size : int;
-}
+type t = { cfg : config; lv : Leveled.t (* A_1 … A_l on disks [0, d), membership on [d, 2d) *) }
 
-exception Overflow of int
-
-let frag_count cfg = 2 * cfg.degree / 3
-
-let field_bits_of cfg = Imath.cdiv cfg.sigma_bits (frag_count cfg) + 4
-
-(* 6ε < 1/(1 + 1/ɛ), and ε <= 1/12 to keep the expanders in the regime
-   Lemma 5 needs. *)
-let shrink_ratio cfg = min 0.5 (0.95 /. (1.0 +. (1.0 /. cfg.epsilon)))
-
-let level_count cfg =
-  let r = shrink_ratio cfg in
-  max 1
-    (int_of_float
-       (ceil (log (float_of_int (max 2 cfg.capacity)) /. log (1.0 /. r))))
-
-let min_stripe = 16
-
-let level_sizes cfg =
-  let r = shrink_ratio cfg in
-  let d = cfg.degree in
-  let v1 = float_of_int (cfg.v_factor * cfg.capacity * d) in
-  Array.init (level_count cfg) (fun i ->
-      let v = v1 *. (r ** float_of_int i) in
-      max (d * min_stripe) (Imath.round_up_to ~multiple:d (int_of_float v)))
-
-let membership_value_bytes = 2 (* level byte, head-stripe byte *)
+exception Overflow = Leveled.Overflow
 
 let validate cfg =
   if cfg.degree < 5 then invalid_arg "Dynamic_cascade: degree too small";
-  if 2 * frag_count cfg <= cfg.degree then
+  if 2 * Leveled.frag_count cfg.degree <= cfg.degree then
     invalid_arg "Dynamic_cascade: 2 * (2d/3) must exceed d";
   if cfg.epsilon <= 0.0 then invalid_arg "Dynamic_cascade: epsilon > 0";
   if float_of_int cfg.degree <= 6.0 *. (1.0 +. (1.0 /. cfg.epsilon)) then
     invalid_arg "Dynamic_cascade: Theorem 7 needs d > 6(1 + 1/epsilon)";
   if cfg.degree > 255 then
     invalid_arg "Dynamic_cascade: head pointer is one byte";
-  if level_count cfg > 255 then
+  if Leveled.level_count ~epsilon:cfg.epsilon ~capacity:cfg.capacity > 255 then
     invalid_arg "Dynamic_cascade: level index is one byte";
   if cfg.v_factor < 2 then invalid_arg "Dynamic_cascade: v_factor >= 2"
 
-(* Worst update batch under the journal: the membership bucket plus
-   one block per claimed field. *)
-let journal_capacity cfg ~block_words =
-  let entries = 1 + frag_count cfg in
-  Imath.cdiv (entries * (block_words + 2)) block_words
-
-let create ?(journaled = false) ?(replicas = 1) ?(spares = 0) ?factory
-    ~block_words cfg =
+let create ?(journaled = false) ?replicas ?spares ?factory ~block_words cfg =
   validate cfg;
-  let d = cfg.degree in
-  let field_bits = field_bits_of cfg in
-  let field_words = Codec.words_for_bits field_bits in
-  let fields_per_block = block_words / field_words in
-  if fields_per_block < 1 then
-    invalid_arg "Dynamic_cascade: field exceeds block";
-  let sizes = level_sizes cfg in
-  let level_blocks =
-    Array.map (fun v -> Imath.cdiv (v / d) fields_per_block) sizes
-  in
-  let fields_total_blocks = Array.fold_left ( + ) 0 level_blocks in
-  let mem_cfg =
-    Basic_dict.plan ~universe:cfg.universe ~capacity:cfg.capacity ~block_words
-      ~degree:d ~value_bytes:membership_value_bytes ~seed:(cfg.seed + 1000) ()
-  in
-  let data_blocks =
-    max fields_total_blocks (Basic_dict.blocks_per_disk mem_cfg)
-  in
-  let disks = 2 * d in
-  let jcap = journal_capacity cfg ~block_words in
-  let blocks_per_disk =
-    if journaled then data_blocks + Journal.rows ~disks ~capacity_blocks:jcap
-    else data_blocks
-  in
-  let machine =
-    Pdm.create ?factory ~replicas ~spares ~disks ~block_size:block_words
-      ~blocks_per_disk ()
-  in
-  let journal =
-    if journaled then
-      Some
-        (Journal.create machine ~block_offset:data_blocks
-           ~capacity_blocks:jcap)
-    else None
-  in
-  let membership =
-    Basic_dict.create ~machine ~disk_offset:d ~block_offset:0 mem_cfg
-  in
-  let offset = ref 0 in
-  let arrays =
-    Array.mapi
-      (fun i v ->
-        let graph = Seeded.striped ~seed:(cfg.seed + i) ~u:cfg.universe ~v ~d in
-        let fs =
-          Field_store.create ~machine ~disk_offset:0 ~block_offset:!offset
-            ~graph ~field_bits
-        in
-        offset := !offset + level_blocks.(i);
-        fs)
-      sizes
-  in
-  { cfg; machine; membership; arrays; m = frag_count cfg; field_bits;
-    journal; crash = None; size = 0 }
+  let d = cfg.degree and epsilon = cfg.epsilon and capacity = cfg.capacity in
+  { cfg;
+    lv =
+      Leveled.create ~name:"Dynamic_cascade" ~stacked:true ~journaled
+        ?replicas ?spares ?factory ~block_words ~universe:cfg.universe
+        ~capacity ~degree:d ~sigma_bits:cfg.sigma_bits ~seed:cfg.seed
+        (Leveled.level_sizes ~ratio:(Leveled.shrink_ratio epsilon)
+           ~levels:(Leveled.level_count ~epsilon ~capacity) ~degree:d
+           ~v_factor:cfg.v_factor ~capacity) }
 
 let config t = t.cfg
-let machine t = t.machine
-let levels t = Array.length t.arrays
-let level_fields t = Array.map (fun fs -> Bipartite.v (Field_store.graph fs)) t.arrays
-let size t = t.size
-let journaled t = t.journal <> None
+let machine t = t.lv.Leveled.machine
+let levels t = Array.length t.lv.Leveled.arrays
 
-let set_crash t crash =
-  if t.journal = None && crash <> None then
-    invalid_arg "Dynamic_cascade.set_crash: dictionary is not journaled";
-  t.crash <- crash
+let level_fields t =
+  Array.map (fun fs -> Bipartite.v (Field_store.graph fs)) t.lv.Leveled.arrays
 
-(* Every multi-block update flows through here: journaled
-   dictionaries get the write-ahead protocol (and the injected crash
-   point, if any), plain ones the direct combined write round. *)
-let write_batch t blocks =
-  match t.journal with
-  | None -> Pdm.write t.machine blocks
-  | Some j -> Journal.log_and_apply j ?crash:t.crash blocks
+let size t = t.lv.Leveled.size
+let journaled t = t.lv.Leveled.journal <> None
+let set_crash t = Leveled.set_crash t.lv
+let recover t = Leveled.recover t.lv
 
-let recover t =
-  match t.journal with
-  | None -> `Clean
-  | Some j ->
-    t.crash <- None;
-    let outcome =
-      Journal.recover t.machine ~block_offset:(Journal.block_offset j)
-        ~capacity_blocks:(Journal.capacity_blocks j)
-    in
-    (* In-memory counters may be torn even when the disk state is
-       whole (a crash before the commit point still interrupted
-       [prepare_insert]'s accounting): rebuild the membership handle
-       from disk and trust it, whatever the journal said. *)
-    let mc = Basic_dict.config t.membership in
-    t.membership <-
-      Basic_dict.recover ~machine:t.machine ~disk_offset:t.cfg.degree
-        ~block_offset:0 mc;
-    t.size <- Basic_dict.size t.membership;
-    outcome
+let level_of t key =
+  (* Uncounted diagnostic: peek the membership buckets. *)
+  Option.map fst
+    (Leveled.membership t.lv key
+       (Array.map (Pdm.peek (machine t))
+          (Basic_dict.addresses t.lv.Leveled.membership key)))
 
-let decode_membership bytes =
-  (Char.code (Bytes.get bytes 0), Char.code (Bytes.get bytes 1))
+(* The first read round: membership buckets, then A_1's candidate
+   blocks, on disjoint disk groups — one parallel I/O. *)
+let first_round_addresses t key =
+  let lv = t.lv in
+  let mb = Basic_dict.plan_blocks lv.membership in
+  let dst =
+    Array.make (mb + Field_store.plan_blocks lv.arrays.(0)) { Pdm.disk = 0; block = 0 }
+  in
+  Basic_dict.fill_addresses lv.membership key dst ~off:0;
+  Field_store.fill_addresses lv.arrays.(0) key dst ~off:mb;
+  dst
 
-let encode_membership ~level ~head =
-  let b = Bytes.make membership_value_bytes '\000' in
-  Bytes.set b 0 (Char.chr level);
-  Bytes.set b 1 (Char.chr head);
-  b
-
-(* The first read round: membership buckets + A_1 candidate blocks,
-   on disjoint disk groups — one parallel I/O. *)
-let first_round_addrs t key =
-  Basic_dict.addresses t.membership key @ Field_store.addresses t.arrays.(0) key
-
-let getter t level blocks key i =
-  let fs = t.arrays.(level - 1) in
-  Field_store.field_in fs blocks (Bipartite.neighbor (Field_store.graph fs) key i)
+(* Where a level's blocks start in the fetch that holds them: A_1
+   follows the membership buckets in the first round; a deeper level
+   is a fetch of its own. *)
+let level_off t level =
+  if level = 1 then Basic_dict.plan_blocks t.lv.Leveled.membership else 0
 
 (* Two-phase lookup pieces for schedulers that fetch blocks
    themselves (the batched query engine): phase 1 fetches
    [first_round_addresses] and feeds them to [membership_in]; a [Some]
    at level > 1 needs a second fetch of [level_addresses] before
    [decode_in] can reconstruct the record. *)
-let first_round_addresses = first_round_addrs
-
-let membership_in t key blocks =
-  Option.map decode_membership (Basic_dict.find_in t.membership key blocks)
+let membership_in t key blocks = Leveled.membership t.lv key blocks
 
 let level_addresses t key ~level =
-  if level < 1 || level > Array.length t.arrays then
+  if level < 1 || level > levels t then
     invalid_arg "Dynamic_cascade.level_addresses: level";
-  Field_store.addresses t.arrays.(level - 1) key
+  Field_store.addresses t.lv.Leveled.arrays.(level - 1) key
 
 let decode_in t key ~level ~head blocks =
-  Field_codec.decode_a ~field_bits:t.field_bits ~head
-    ~sigma_bits:t.cfg.sigma_bits (getter t level blocks key)
+  Leveled.decode t.lv key ~level ~head blocks ~off:(level_off t level)
+
+let read_first_round t key =
+  Pdm.read_views (machine t) (first_round_addresses t key)
+
+(* A level's blocks for the per-key paths: level 1 from the first
+   round, a deeper one read on demand. *)
+let level_blocks t key round level =
+  ( (if level = 1 then round
+     else Pdm.read_views (machine t) (level_addresses t key ~level)),
+    level_off t level )
 
 let find t key =
-  let blocks = Pdm.read t.machine (first_round_addrs t key) in
-  match membership_in t key blocks with
+  let round = read_first_round t key in
+  match membership_in t key round with
   | None -> None
   | Some (level, head) ->
-    let blocks =
-      if level = 1 then blocks
-      else Pdm.read t.machine (Field_store.addresses t.arrays.(level - 1) key)
-    in
-    decode_in t key ~level ~head blocks
+    let blocks, off = level_blocks t key round level in
+    Leveled.decode t.lv key ~level ~head blocks ~off
 
-let mem t key =
-  let blocks = Pdm.read t.machine (first_round_addrs t key) in
-  Basic_dict.find_in t.membership key blocks <> None
-
-let level_of t key =
-  (* Uncounted diagnostic: peek the membership buckets. *)
-  let addrs = Basic_dict.addresses t.membership key in
-  let blocks = List.map (fun a -> (a, Pdm.peek t.machine a)) addrs in
-  Option.map
-    (fun v -> fst (decode_membership v))
-    (Basic_dict.find_in t.membership key blocks)
-
-(* Stripes of currently-empty candidate fields at a level, ascending. *)
-let empty_stripes t level blocks key =
-  let get = getter t level blocks key in
-  List.filter (fun i -> get i = None) (List.init t.cfg.degree (fun i -> i))
+let mem t key = membership_in t key (read_first_round t key) <> None
 
 let insert t key satellite =
   if 8 * Bytes.length satellite < t.cfg.sigma_bits then
     invalid_arg "Dynamic_cascade.insert: satellite shorter than sigma_bits";
-  let round1 = Pdm.read t.machine (first_round_addrs t key) in
-  match Basic_dict.find_in t.membership key round1 with
-  | Some v ->
-    (* Update in place: rewrite the key's existing fields. *)
-    let level, head = decode_membership v in
-    let fs = t.arrays.(level - 1) in
-    let blocks =
-      if level = 1 then round1 else Pdm.read t.machine (Field_store.addresses fs key)
-    in
-    (match
-       Field_codec.indices_a ~field_bits:t.field_bits ~head
-         (getter t level blocks key)
-     with
-     | None -> invalid_arg "Dynamic_cascade: corrupt pointer chain"
-     | Some stripes ->
-       let enc =
-         Field_codec.encode_a ~field_bits:t.field_bits ~indices:stripes
-           ~satellite ~sigma_bits:t.cfg.sigma_bits
-       in
-       let graph = Field_store.graph fs in
-       let updates =
-         List.map (fun (i, b) -> (Bipartite.neighbor graph key i, Some b)) enc
-       in
-       write_batch t (Field_store.prepare_updates fs ~images:blocks updates))
-  | None ->
-    if t.size >= t.cfg.capacity then
-      invalid_arg "Dynamic_cascade.insert: at capacity";
-    (* First-fit level search. *)
-    let l = Array.length t.arrays in
-    let rec place level blocks =
-      let empties = empty_stripes t level blocks key in
-      if List.length empties >= t.m then begin
-        let stripes = List.filteri (fun i _ -> i < t.m) empties in
-        let enc =
-          Field_codec.encode_a ~field_bits:t.field_bits ~indices:stripes
-            ~satellite ~sigma_bits:t.cfg.sigma_bits
-        in
-        let fs = t.arrays.(level - 1) in
-        let graph = Field_store.graph fs in
-        let updates =
-          List.map (fun (i, b) -> (Bipartite.neighbor graph key i, Some b)) enc
-        in
-        let field_blocks = Field_store.prepare_updates fs ~images:blocks updates in
-        let head =
-          match stripes with
-          | s :: _ -> s
-          | [] ->
-            invalid_arg "Dynamic_cascade: insert needs m >= 1 stripes"
-        in
-        let mem_block =
-          Basic_dict.prepare_insert t.membership key
-            (encode_membership ~level ~head)
-            round1
-        in
-        (* One combined write round: field blocks (disks [0,d)) and the
-           membership bucket (disks [d,2d)). *)
-        write_batch t (mem_block :: field_blocks);
-        t.size <- t.size + 1
-      end
-      else if level >= l then raise (Overflow key)
-      else begin
-        let next = level + 1 in
-        let blocks =
-          Pdm.read t.machine (Field_store.addresses t.arrays.(next - 1) key)
-        in
-        place next blocks
-      end
-    in
-    place 1 round1
+  let round = read_first_round t key in
+  Leveled.insert t.lv key satellite round ~level_blocks:(level_blocks t key round)
 
 let delete t key =
-  let round1 = Pdm.read t.machine (first_round_addrs t key) in
-  match Basic_dict.find_in t.membership key round1 with
-  | None -> false
-  | Some v ->
-    let level, head = decode_membership v in
-    let fs = t.arrays.(level - 1) in
-    let blocks =
-      if level = 1 then round1
-      else Pdm.read t.machine (Field_store.addresses fs key)
-    in
-    (match
-       Field_codec.indices_a ~field_bits:t.field_bits ~head
-         (getter t level blocks key)
-     with
-     | None -> invalid_arg "Dynamic_cascade: corrupt pointer chain"
-     | Some stripes ->
-       let graph = Field_store.graph fs in
-       let updates =
-         List.map (fun i -> (Bipartite.neighbor graph key i, None)) stripes
-       in
-       let field_blocks = Field_store.prepare_updates fs ~images:blocks updates in
-       (match Basic_dict.prepare_delete t.membership key round1 with
-        | None ->
-          (* pdm-lint: allow R3 — unreachable: this branch runs only
-             when the membership lookup just found the key in these
-             same round-1 images, so [prepare_delete] must find it
-             too. *)
-          assert false
-        | Some mem_block ->
-          (* Fields live on disks [0, d), membership on [d, 2d): one
-             combined write round. *)
-          write_batch t (mem_block :: field_blocks);
-          t.size <- t.size - 1;
-          true))
+  let round = read_first_round t key in
+  Leveled.delete t.lv key round ~level_blocks:(level_blocks t key round)
 
 let space_bits t =
   let fields =
-    Array.fold_left (fun acc fs -> acc + Field_store.total_bits fs) 0 t.arrays
+    Array.fold_left
+      (fun acc fs -> acc + Field_store.total_bits fs)
+      0 t.lv.Leveled.arrays
   in
-  let mc = Basic_dict.config t.membership in
+  let mc = Basic_dict.config t.lv.Leveled.membership in
   fields
   + Basic_dict.blocks_per_disk mc * mc.Basic_dict.degree
-    * Pdm.block_size t.machine * Codec.bits_per_word
+    * Pdm.block_size (machine t) * Codec.bits_per_word

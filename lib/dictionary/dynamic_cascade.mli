@@ -79,23 +79,25 @@ val find : t -> int -> Bytes.t option
     same blocks via {!decode_in}, deeper levels need one more fetch of
     {!level_addresses} first. *)
 
-val first_round_addresses : t -> int -> Pdm_sim.Pdm.addr list
-(** Membership buckets + A₁ candidate blocks (what {!find}'s first
-    round reads). *)
+val first_round_addresses : t -> int -> Pdm_sim.Pdm.addr array
+(** The membership buckets, then A₁'s candidate blocks (what {!find}'s
+    first round reads). *)
 
-val membership_in :
-  t -> int -> (Pdm_sim.Pdm.addr * int option array) list ->
-  (int * int) option
-(** [(level, head)] when present; extra blocks are ignored. *)
+val membership_in : t -> int -> int option array array -> (int * int) option
+(** [(level, head)] when present, decoded from the first round's
+    blocks: block [i] answers address [i] of {!first_round_addresses}. *)
 
-val level_addresses : t -> int -> level:int -> Pdm_sim.Pdm.addr list
+val level_addresses : t -> int -> level:int -> Pdm_sim.Pdm.addr array
 (** Candidate blocks of A{_level} for the key (1-based level). *)
 
 val decode_in :
-  t -> int -> level:int -> head:int ->
-  (Pdm_sim.Pdm.addr * int option array) list -> Bytes.t option
-(** Reconstruct the record from fetched blocks covering
-    {!level_addresses} (level 1: {!first_round_addresses}). *)
+  t -> int -> level:int -> head:int -> int option array array ->
+  Bytes.t option
+(** Reconstruct the record from the fetch holding its level: for level
+    1 the first round's blocks (A₁ after the membership buckets), for a
+    deeper level the blocks of {!level_addresses}, block [i] answering
+    address [i]. {!find}, {!insert} and {!delete} decode their own
+    fetches with the same code. *)
 
 val mem : t -> int -> bool
 (** Always 1 I/O (membership only... also fetches A₁ in the same

@@ -1,5 +1,4 @@
 module Pdm = Pdm_sim.Pdm
-module Bipartite = Pdm_expander.Bipartite
 module Seeded = Pdm_expander.Seeded
 module Imath = Pdm_util.Imath
 
@@ -26,30 +25,12 @@ type t = {
 
 exception Overflow of int
 
-let frag_count cfg = 2 * cfg.degree / 3
+let frag_count cfg = Leveled.frag_count cfg.degree
 
 let id_bits_of cfg = max 1 (Imath.ceil_log2 (max 2 (8 * cfg.capacity)))
 
 let field_bits_of cfg =
   id_bits_of cfg + Imath.cdiv cfg.sigma_bits (frag_count cfg)
-
-let shrink_ratio cfg = min 0.5 (0.95 /. (1.0 +. (1.0 /. cfg.epsilon)))
-
-let level_count cfg =
-  let r = shrink_ratio cfg in
-  max 1
-    (int_of_float
-       (ceil (log (float_of_int (max 2 cfg.capacity)) /. log (1.0 /. r))))
-
-let min_stripe = 16
-
-let level_sizes cfg =
-  let r = shrink_ratio cfg in
-  let d = cfg.degree in
-  let v1 = float_of_int (cfg.v_factor * cfg.capacity * d) in
-  Array.init (level_count cfg) (fun i ->
-      let v = v1 *. (r ** float_of_int i) in
-      max (d * min_stripe) (Imath.round_up_to ~multiple:d (int_of_float v)))
 
 let create ~block_words cfg =
   if cfg.degree < 5 || 2 * frag_count cfg <= cfg.degree then
@@ -62,7 +43,11 @@ let create ~block_words cfg =
   let fields_per_block = block_words / field_words in
   if fields_per_block < 1 then
     invalid_arg "Dynamic_cascade_b: field exceeds block";
-  let sizes = level_sizes cfg in
+  let sizes =
+    Leveled.level_sizes ~ratio:(Leveled.shrink_ratio cfg.epsilon)
+      ~levels:(Leveled.level_count ~epsilon:cfg.epsilon ~capacity:cfg.capacity)
+      ~degree:d ~v_factor:cfg.v_factor ~capacity:cfg.capacity
+  in
   let level_blocks =
     Array.map (fun v -> Imath.cdiv (v / d) fields_per_block) sizes
   in
@@ -91,12 +76,20 @@ let machine t = t.machine
 let levels t = Array.length t.arrays
 let size t = t.size
 
-let getter t level blocks key i =
-  let fs = t.arrays.(level - 1) in
-  Field_store.field_in fs blocks (Bipartite.neighbor (Field_store.graph fs) key i)
+let getter t level blocks key =
+  Field_store.neighbor_field t.arrays.(level - 1) blocks ~off:0 key
 
 let read_level t level key =
-  Pdm.read t.machine (Field_store.addresses t.arrays.(level - 1) key)
+  Pdm.read_views t.machine (Field_store.addresses t.arrays.(level - 1) key)
+
+(* Read-modify-write of the key's fields at a level: 1 + 1 rounds. *)
+let write_fields t level blocks key updates =
+  match
+    Field_store.prepare_updates t.arrays.(level - 1) key ~images:blocks ~off:0
+      updates
+  with
+  | [] -> ()
+  | touched -> Pdm.write t.machine touched
 
 (* Probe levels in order; [f level blocks decoded] on the first level
    whose majority vote succeeds. *)
@@ -138,16 +131,11 @@ let stripes_of_id t level blocks key id =
     (List.init t.cfg.degree (fun i -> i))
 
 let write_encoding t level blocks key ~id ~stripes satellite =
-  let fs = t.arrays.(level - 1) in
   let enc =
     Field_codec.encode_b ~field_bits:t.field_bits ~id_bits:t.id_bits ~id
       ~satellite ~sigma_bits:t.cfg.sigma_bits ~indices:stripes
   in
-  let graph = Field_store.graph fs in
-  let updates =
-    List.map (fun (i, b) -> (Bipartite.neighbor graph key i, Some b)) enc
-  in
-  Field_store.write_fields_in fs ~images:blocks updates
+  write_fields t level blocks key (List.map (fun (i, b) -> (i, Some b)) enc)
 
 let insert t key satellite =
   if 8 * Bytes.length satellite < t.cfg.sigma_bits then
@@ -190,12 +178,7 @@ let delete t key =
   probe t key
     ~found:(fun level blocks id _ ->
       let stripes = stripes_of_id t level blocks key id in
-      let fs = t.arrays.(level - 1) in
-      let graph = Field_store.graph fs in
-      let updates =
-        List.map (fun i -> (Bipartite.neighbor graph key i, None)) stripes
-      in
-      Field_store.write_fields_in fs ~images:blocks updates;
+      write_fields t level blocks key (List.map (fun i -> (i, None)) stripes);
       t.size <- t.size - 1;
       true)
     ~missing:(fun () -> false)

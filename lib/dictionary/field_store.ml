@@ -61,120 +61,130 @@ let locate t y =
   let row = t.block_offset + (j / t.fields_per_row) in
   let base = j mod t.fields_per_row * t.seg_words in
   let addrs =
-    List.init t.groups (fun q ->
+    Array.init t.groups (fun q ->
         { Pdm.disk = t.disk_offset + (stripe * t.groups) + q; block = row })
   in
   (addrs, base)
 
-let addrs_of_field t y = fst (locate t y)
+let plan_blocks t = Bipartite.d t.graph * t.groups
 
-let addr_of_field t y =
-  match addrs_of_field t y with
-  | a :: _ -> a
-  | [] -> invalid_arg "Field_store.addr_of_field: store has zero groups"
+(* Neighbor i of a key lies in stripe i, so its group blocks sit on
+   disks [disk_offset + i·groups, …+groups), all in the field's row. *)
+(* pdm-lint: domain local — fills the caller's own plan array *)
+let fill_addresses t key dst ~off =
+  let w = Bipartite.stripe_width t.graph in
+  for i = 0 to Bipartite.d t.graph - 1 do
+    let row =
+      t.block_offset + (Bipartite.neighbor t.graph key i mod w / t.fields_per_row)
+    in
+    for q = 0 to t.groups - 1 do
+      let at = (i * t.groups) + q in
+      dst.(off + at) <- { Pdm.disk = t.disk_offset + at; block = row }
+    done
+  done
 
 let addresses t key =
-  List.concat
-    (List.init (Bipartite.d t.graph) (fun i ->
-         addrs_of_field t (Bipartite.neighbor t.graph key i)))
+  let dst = Array.make (plan_blocks t) { Pdm.disk = 0; block = 0 } in
+  fill_addresses t key dst ~off:0;
+  dst
 
-(* The field's words, gathered group by group. Occupancy is judged by
-   the first word of the first segment. *)
-let decode_field t segs base =
-  match segs with
-  | [] -> invalid_arg "Field_store: field with no segments"
-  | first :: _ ->
-    (match first.(base) with
-     | None -> None
-     | Some _ ->
-       let words =
-         Array.init t.field_words (fun w ->
-             let q = w / t.seg_words and off = w mod t.seg_words in
-             let seg =
-               match List.nth_opt segs q with
-               | Some s -> s
-               | None -> invalid_arg "Field_store: missing segment"
-             in
-             match seg.(base + off) with
-             | Some x -> x
-             | None -> invalid_arg "Field_store: corrupt field")
-       in
-       Some (Codec.bytes_of_words words ~nbits:t.field_bits))
+(* The word base of neighbor [i]'s field within its blocks. *)
+let neighbor_base t key i =
+  Bipartite.neighbor t.graph key i mod Bipartite.stripe_width t.graph
+  mod t.fields_per_row * t.seg_words
 
-let segs_in t blocks y =
-  let addrs, base = locate t y in
-  let segs =
-    List.map
-      (fun a ->
-        match Pdm.assoc_addr a blocks with
-        | Some block -> block
-        | None -> invalid_arg "Field_store.field_in: block not supplied")
-      addrs
-  in
-  (segs, base)
+(* The field whose group blocks are [segs.(at)] … [segs.(at + groups -
+   1)], at word [base] of each. Occupancy is judged by the first word
+   of the first segment. *)
+let decode_field t segs ~at base =
+  match segs.(at).(base) with
+  | None -> None
+  | Some _ ->
+    let words = Array.make t.field_words 0 in
+    for w = 0 to t.field_words - 1 do
+      match segs.(at + (w / t.seg_words)).(base + (w mod t.seg_words)) with
+      | Some x -> words.(w) <- x
+      | None -> invalid_arg "Field_store: corrupt field"
+    done;
+    Some (Codec.bytes_of_words words ~nbits:t.field_bits)
 
-let field_in t blocks y =
-  let segs, base = segs_in t blocks y in
-  decode_field t segs base
+let neighbor_field t blocks ~off key i =
+  decode_field t blocks ~at:(off + (i * t.groups)) (neighbor_base t key i)
+
+(* The blocks holding fields [ys], each read once, by address. *)
+let read_blocks t ys =
+  let fetched = Pdm.Addr_tbl.create 16 in
+  List.iter
+    (fun (a, b) -> Pdm.Addr_tbl.replace fetched a b)
+    (Pdm.read t.machine
+       (List.concat_map (fun y -> Array.to_list (fst (locate t y))) ys));
+  Pdm.Addr_tbl.find fetched
 
 let read_fields t ys =
-  let addrs = List.concat_map (addrs_of_field t) ys in
-  let blocks = Pdm.read t.machine addrs in
-  List.map (fun y -> (y, field_in t blocks y)) ys
+  let block = read_blocks t ys in
+  List.map
+    (fun y ->
+      let addrs, base = locate t y in
+      (y, decode_field t (Array.map block addrs) ~at:0 base))
+    ys
 
 (* pdm-lint: domain local — field codec mutates a per-call scratch copy of the block *)
-let poke_field t segs base = function
-  | None ->
-    List.iteri
-      (fun q block ->
-        let seg_len =
-          min t.seg_words (t.field_words - (q * t.seg_words))
-        in
-        for off = 0 to seg_len - 1 do
-          block.(base + off) <- None
-        done)
-      segs
-  | Some bytes ->
-    let words = Codec.words_of_bits bytes ~nbits:t.field_bits in
-    if Array.length words <> t.field_words then
-      invalid_arg "Field_store: field content has wrong size";
-    List.iteri
-      (fun q block ->
-        let seg_len =
-          min t.seg_words (t.field_words - (q * t.seg_words))
-        in
-        for off = 0 to seg_len - 1 do
-          block.(base + off) <- Some words.((q * t.seg_words) + off)
-        done)
-      segs
+let poke_field t segs base content =
+  let words =
+    Option.map
+      (fun bytes ->
+        let words = Codec.words_of_bits bytes ~nbits:t.field_bits in
+        if Array.length words <> t.field_words then
+          invalid_arg "Field_store: field content has wrong size";
+        words)
+      content
+  in
+  for w = 0 to t.field_words - 1 do
+    segs.(w / t.seg_words).(base + (w mod t.seg_words)) <-
+      (match words with None -> None | Some words -> Some words.(w))
+  done
 
-let prepare_updates t ~images updates =
+(* Write field [y] into the touched blocks, copying a group block's
+   fetched image ([fetched q a]) the first time the block is touched;
+   the touched table keeps the blocks in first-touch order. *)
+(* pdm-lint: domain local — per-call table of scratch block copies *)
+let stage t touched ~fetched y content =
+  let addrs, base = locate t y in
+  let segs =
+    Array.mapi
+      (fun q a ->
+        match Hashtbl.find_opt touched a with
+        | Some block -> block
+        | None ->
+          let block = Array.copy (fetched q a) in
+          Hashtbl.replace touched a block;
+          block)
+      addrs
+  in
+  poke_field t segs base content
+
+let touched_blocks touched = Hashtbl.fold (fun a b acc -> (a, b) :: acc) touched []
+
+let prepare_updates t key ~images ~off updates =
   let touched = Hashtbl.create 8 in
   List.iter
-    (fun (y, content) ->
-      let addrs, base = locate t y in
-      let segs =
-        List.map
-          (fun a ->
-            match Pdm.assoc_addr a images with
-            | Some block -> block
-            | None ->
-              invalid_arg "Field_store.prepare_updates: block not supplied")
-          addrs
-      in
-      poke_field t segs base content;
-      List.iter2 (fun a b -> Hashtbl.replace touched a b) addrs segs)
+    (fun (i, content) ->
+      stage t touched
+        ~fetched:(fun q _ -> images.(off + (i * t.groups) + q))
+        (Bipartite.neighbor t.graph key i)
+        content)
     updates;
-  Hashtbl.fold (fun a b acc -> (a, b) :: acc) touched []
-
-let write_fields_in t ~images updates =
-  let blocks = prepare_updates t ~images updates in
-  if blocks <> [] then Pdm.write t.machine blocks
+  touched_blocks touched
 
 let write_fields t updates =
-  let addrs = List.concat_map (fun (y, _) -> addrs_of_field t y) updates in
-  let images = Pdm.read t.machine addrs in
-  write_fields_in t ~images updates
+  let block = read_blocks t (List.map fst updates) in
+  let touched = Hashtbl.create 8 in
+  List.iter
+    (fun (y, content) -> stage t touched ~fetched:(fun _ a -> block a) y content)
+    updates;
+  match touched_blocks touched with
+  | [] -> ()
+  | blocks -> Pdm.write t.machine blocks
 
 let bulk_write t fields =
   let seen = Hashtbl.create (List.length fields) in
@@ -190,8 +200,8 @@ let count_occupied t =
   let v = Bipartite.v t.graph in
   let occ = ref 0 in
   for y = 0 to v - 1 do
-    let _, base = locate t y in
-    let block = Pdm.peek t.machine (addr_of_field t y) in
+    let addrs, base = locate t y in
+    let block = Pdm.peek t.machine addrs.(0) in
     if block.(base) <> None then incr occ
   done;
   !occ

@@ -55,41 +55,38 @@ val blocks_per_disk : t -> int
 val total_bits : t -> int
 (** v × field_bits: the space usage Theorem 6 accounts. *)
 
-val addresses : t -> int -> Pdm_sim.Pdm.addr list
-(** The d × groups blocks containing A[Γ(key)], one per disk. *)
+val plan_blocks : t -> int
+(** d × groups: the length of a key's probe plan. *)
 
-val addr_of_field : t -> int -> Pdm_sim.Pdm.addr
-(** First block of a given field (its occupancy marker). *)
+val fill_addresses : t -> int -> Pdm_sim.Pdm.addr array -> off:int -> unit
+(** [fill_addresses t key dst ~off] writes the d × groups blocks
+    containing A[Γ(key)], one per disk, into [dst.(off)] …
+    [dst.(off + plan_blocks t - 1)]: group block [q] of neighbor [i]'s
+    field at [off + i × groups + q]. *)
 
-val addrs_of_field : t -> int -> Pdm_sim.Pdm.addr list
-(** All [groups] blocks of a field. *)
+val addresses : t -> int -> Pdm_sim.Pdm.addr array
+(** The key's plan in a fresh array ({!fill_addresses} at offset 0). *)
 
-val field_in :
-  t -> (Pdm_sim.Pdm.addr * int option array) list -> int -> Bytes.t option
-(** Decode field [y] from fetched blocks ([None] = empty). Raises when
-    the containing block is not among those supplied. *)
+val neighbor_field :
+  t -> int option array array -> off:int -> int -> int -> Bytes.t option
+(** [neighbor_field t blocks ~off key i] decodes neighbor [i]'s field
+    A[Γ(key)_i] ([None] = empty) from fetched blocks laid out as
+    {!fill_addresses} put the plan at [off]: block [off + j] answers
+    address [j] of {!addresses}. *)
 
 val read_fields : t -> int list -> (int * Bytes.t option) list
 (** Fetch the given fields, reading each containing block once. *)
 
 val prepare_updates :
-  t ->
-  images:(Pdm_sim.Pdm.addr * int option array) list ->
+  t -> int -> images:int option array array -> off:int ->
   (int * Bytes.t option) list ->
   (Pdm_sim.Pdm.addr * int option array) list
-(** Apply field updates to already-fetched block images and return the
-    touched blocks {b without writing them} — the caller folds them
-    into a combined write round. *)
-
-val write_fields_in :
-  t ->
-  images:(Pdm_sim.Pdm.addr * int option array) list ->
-  (int * Bytes.t option) list ->
-  unit
-(** Update fields inside already-fetched block images and write the
-    touched blocks back (one write request; rounds as scheduled by the
-    machine). Use after a read of {!addresses} for read-modify-write
-    costing 1 + 1 rounds. *)
+(** [prepare_updates t key ~images ~off updates] applies [(i,
+    content)] updates to the key's distinct neighbors [i], in fetched
+    blocks laid out as for {!neighbor_field}, and returns the touched
+    blocks as edited copies {b without writing them} — the caller
+    folds them into a combined write round. The fetched images stay
+    untouched. *)
 
 val write_fields : t -> (int * Bytes.t option) list -> unit
 (** Read-modify-write without pre-fetched images. *)

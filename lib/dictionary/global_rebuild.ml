@@ -71,25 +71,22 @@ let capacity t =
 let rebuilds t = t.rebuilds
 let rebuilding t = t.migration <> None
 
-let combined_addrs t key =
-  let a = Basic_dict.addresses t.active key in
-  match t.migration with
-  | None -> a
-  | Some m -> Basic_dict.addresses m.shadow key @ a
-
 let find t key =
-  let blocks = Pdm.read t.machine (combined_addrs t key) in
   match t.migration with
-  | None -> Basic_dict.find_in t.active key blocks
+  | None -> Basic_dict.find t.active key
   | Some m ->
-    (* Fresh data lives in the shadow; fall back to pending entries in
+    (* One combined fetch of the shadow's plan and the active's. Fresh
+       data lives in the shadow; fall back to pending entries in
        flight, then the active instance. *)
-    (match Basic_dict.find_in m.shadow key blocks with
+    let blocks, offs =
+      Basic_dict.read_plans [| (m.shadow, key); (t.active, key) |]
+    in
+    (match Basic_dict.find_in m.shadow key blocks ~off:offs.(0) with
      | Some v -> Some v
      | None ->
        (match List.assoc_opt key m.pending with
         | Some v -> Some v
-        | None -> Basic_dict.find_in t.active key blocks))
+        | None -> Basic_dict.find_in t.active key blocks ~off:offs.(1)))
 
 let mem t key = find t key <> None
 

@@ -1,8 +1,4 @@
 module Pdm = Pdm_sim.Pdm
-module Journal = Pdm_sim.Journal
-module Bipartite = Pdm_expander.Bipartite
-module Seeded = Pdm_expander.Seeded
-module Imath = Pdm_util.Imath
 
 type config = {
   universe : int;
@@ -16,274 +12,80 @@ type config = {
 
 type t = {
   cfg : config;
-  machine : int Pdm.t;
-  mutable membership : Basic_dict.t;  (* disks [0, d) *)
-  arrays : Field_store.t array; (* level i on disks [(i+1)d, (i+2)d) *)
-  m : int;
-  field_bits : int;
-  journal : Journal.t option;
-  mutable crash : Journal.crash_point option;
-  mutable size : int;
+  lv : Leveled.t;  (* membership on disks [0, d), level i on [(i+1)d, (i+2)d) *)
+  offsets : int array;  (* plan position of each level's blocks, then the plan's length *)
 }
 
-exception Overflow of int
+exception Overflow = Leveled.Overflow
 
-let frag_count cfg = 2 * cfg.degree / 3
-
-let field_bits_of cfg = Imath.cdiv cfg.sigma_bits (frag_count cfg) + 4
-
-let min_stripe = 16
-
-let level_sizes cfg =
+let create ?(journaled = false) ?replicas ?spares ?factory ~block_words cfg =
   let d = cfg.degree in
-  let v1 = float_of_int (cfg.v_factor * cfg.capacity * d) in
-  Array.init cfg.levels (fun i ->
-      let v = v1 *. (0.5 ** float_of_int i) in
-      max (d * min_stripe) (Imath.round_up_to ~multiple:d (int_of_float v)))
-
-let membership_value_bytes = 2
-
-(* Worst update batch under the journal: the membership bucket plus
-   one block per claimed field. *)
-let journal_capacity cfg ~block_words =
-  let entries = 1 + frag_count cfg in
-  Imath.cdiv (entries * (block_words + 2)) block_words
-
-let create ?(journaled = false) ?(replicas = 1) ?(spares = 0) ?factory
-    ~block_words cfg =
-  if cfg.degree < 5 || 2 * frag_count cfg <= cfg.degree then
+  if d < 5 || 2 * Leveled.frag_count d <= d then
     invalid_arg "One_probe_dynamic: degree";
   if cfg.levels < 1 || cfg.levels > 254 then
     invalid_arg "One_probe_dynamic: levels";
-  if cfg.degree > 255 then invalid_arg "One_probe_dynamic: degree > 255";
-  let d = cfg.degree in
-  let field_bits = field_bits_of cfg in
-  let field_words = Codec.words_for_bits field_bits in
-  let fields_per_block = block_words / field_words in
-  if fields_per_block < 1 then
-    invalid_arg "One_probe_dynamic: field exceeds block";
-  let sizes = level_sizes cfg in
-  let level_blocks =
-    Array.map (fun v -> Imath.cdiv (v / d) fields_per_block) sizes
+  if d > 255 then invalid_arg "One_probe_dynamic: degree > 255";
+  let lv =
+    Leveled.create ~name:"One_probe_dynamic" ~stacked:false ~journaled
+      ?replicas ?spares ?factory ~block_words ~universe:cfg.universe
+      ~capacity:cfg.capacity ~degree:d ~sigma_bits:cfg.sigma_bits ~seed:cfg.seed
+      (Leveled.level_sizes ~ratio:0.5 ~levels:cfg.levels ~degree:d
+         ~v_factor:cfg.v_factor ~capacity:cfg.capacity)
   in
-  let mem_cfg =
-    Basic_dict.plan ~universe:cfg.universe ~capacity:cfg.capacity
-      ~block_words ~degree:d ~value_bytes:membership_value_bytes
-      ~seed:(cfg.seed + 1000) ()
-  in
-  let data_blocks =
-    max
-      (Array.fold_left max 1 level_blocks)
-      (Basic_dict.blocks_per_disk mem_cfg)
-  in
-  let disks = (cfg.levels + 1) * d in
-  let jcap = journal_capacity cfg ~block_words in
-  let blocks_per_disk =
-    if journaled then data_blocks + Journal.rows ~disks ~capacity_blocks:jcap
-    else data_blocks
-  in
-  let machine =
-    Pdm.create ?factory ~replicas ~spares ~disks ~block_size:block_words
-      ~blocks_per_disk ()
-  in
-  let journal =
-    if journaled then
-      Some
-        (Journal.create machine ~block_offset:data_blocks
-           ~capacity_blocks:jcap)
-    else None
-  in
-  let membership =
-    Basic_dict.create ~machine ~disk_offset:0 ~block_offset:0 mem_cfg
-  in
-  let arrays =
-    Array.mapi
-      (fun i v ->
-        let graph = Seeded.striped ~seed:(cfg.seed + i) ~u:cfg.universe ~v ~d in
-        Field_store.create ~machine ~disk_offset:((i + 1) * d) ~block_offset:0
-          ~graph ~field_bits)
-      sizes
-  in
-  { cfg; machine; membership; arrays; m = frag_count cfg; field_bits;
-    journal; crash = None; size = 0 }
+  let offsets = Array.make (cfg.levels + 1) (Basic_dict.plan_blocks lv.membership) in
+  for i = 1 to cfg.levels do
+    offsets.(i) <- offsets.(i - 1) + Field_store.plan_blocks lv.arrays.(i - 1)
+  done;
+  { cfg; lv; offsets }
 
 let config t = t.cfg
-let machine t = t.machine
-let disks t = Pdm.disks t.machine
-let size t = t.size
-let journaled t = t.journal <> None
-
-(* pdm-lint: domain local — crash-injection toggle flipped only by the driving test harness *)
-let set_crash t crash =
-  if t.journal = None && crash <> None then
-    invalid_arg "One_probe_dynamic.set_crash: dictionary is not journaled";
-  t.crash <- crash
-
-(* Every multi-block update flows through here: journaled
-   dictionaries get the write-ahead protocol (and the injected crash
-   point, if any), plain ones the direct combined write round. *)
-let write_batch t blocks =
-  match t.journal with
-  | None -> Pdm.write t.machine blocks
-  | Some j -> Journal.log_and_apply j ?crash:t.crash blocks
-
-let recover t =
-  match t.journal with
-  | None -> `Clean
-  | Some j ->
-    t.crash <- None;
-    let outcome =
-      Journal.recover t.machine ~block_offset:(Journal.block_offset j)
-        ~capacity_blocks:(Journal.capacity_blocks j)
-    in
-    (* In-memory counters may be torn even when the disk state is
-       whole (a crash before the commit point still interrupted
-       [prepare_insert]'s accounting): rebuild the membership handle
-       from disk and trust it, whatever the journal said. *)
-    let mc = Basic_dict.config t.membership in
-    t.membership <-
-      Basic_dict.recover ~machine:t.machine ~disk_offset:0 ~block_offset:0 mc;
-    t.size <- Basic_dict.size t.membership;
-    outcome
-
-let decode_membership bytes =
-  (Char.code (Bytes.get bytes 0), Char.code (Bytes.get bytes 1))
-
-let encode_membership ~level ~head =
-  let b = Bytes.make membership_value_bytes '\000' in
-  Bytes.set b 0 (Char.chr level);
-  Bytes.set b 1 (Char.chr head);
-  b
-
-(* Every operation's single read round: membership + every level's
-   candidate blocks — all on pairwise disjoint disk groups. *)
-let all_addresses t key =
-  Basic_dict.addresses t.membership key
-  @ List.concat_map
-      (fun fs -> Field_store.addresses fs key)
-      (Array.to_list t.arrays)
-
-let getter t level blocks key i =
-  let fs = t.arrays.(level - 1) in
-  Field_store.field_in fs blocks (Bipartite.neighbor (Field_store.graph fs) key i)
-
-let probe_addresses = all_addresses
-
-let find_in t key blocks =
-  match Basic_dict.find_in t.membership key blocks with
-  | None -> None
-  | Some v ->
-    let level, head = decode_membership v in
-    Field_codec.decode_a ~field_bits:t.field_bits ~head
-      ~sigma_bits:t.cfg.sigma_bits (getter t level blocks key)
-
-let find t key = find_in t key (Pdm.read t.machine (all_addresses t key))
-
-let mem t key =
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  Basic_dict.find_in t.membership key blocks <> None
+let machine t = t.lv.Leveled.machine
+let disks t = Pdm.disks (machine t)
+let size t = t.lv.Leveled.size
+let journaled t = t.lv.Leveled.journal <> None
+let set_crash t = Leveled.set_crash t.lv
+let recover t = Leveled.recover t.lv
 
 let level_of t key =
-  let addrs = Basic_dict.addresses t.membership key in
-  let blocks = List.map (fun a -> (a, Pdm.peek t.machine a)) addrs in
-  Option.map
-    (fun v -> fst (decode_membership v))
-    (Basic_dict.find_in t.membership key blocks)
+  Option.map fst
+    (Leveled.membership t.lv key
+       (Array.map (Pdm.peek (machine t))
+          (Basic_dict.addresses t.lv.Leveled.membership key)))
 
-let empty_stripes t level blocks key =
-  let get = getter t level blocks key in
-  List.filter (fun i -> get i = None) (List.init t.cfg.degree (fun i -> i))
+(* Every operation's single read round: membership + every level's
+   candidate blocks — all on pairwise disjoint disk groups — laid out
+   at [offsets]. *)
+let probe_addresses t key =
+  let lv = t.lv in
+  let levels = Array.length lv.arrays in
+  let dst = Array.make t.offsets.(levels) { Pdm.disk = 0; block = 0 } in
+  Basic_dict.fill_addresses lv.membership key dst ~off:0;
+  for i = 0 to levels - 1 do
+    Field_store.fill_addresses lv.arrays.(i) key dst ~off:t.offsets.(i)
+  done;
+  dst
 
-(* pdm-lint: domain local — dictionary bookkeeping mutated under the single-threaded engine loop *)
+let read_plan t key = Pdm.read_views (machine t) (probe_addresses t key)
+
+(* Every level is in the one round. *)
+let in_round t round level = (round, t.offsets.(level - 1))
+
+let find_in t key blocks =
+  match Leveled.membership t.lv key blocks with
+  | None -> None
+  | Some (level, head) ->
+    Leveled.decode t.lv key ~level ~head blocks ~off:t.offsets.(level - 1)
+
+let find t key = find_in t key (read_plan t key)
+
+let mem t key = Leveled.membership t.lv key (read_plan t key) <> None
+
 let insert t key satellite =
   if 8 * Bytes.length satellite < t.cfg.sigma_bits then
     invalid_arg "One_probe_dynamic.insert: satellite shorter than sigma_bits";
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  match Basic_dict.find_in t.membership key blocks with
-  | Some v ->
-    (* Rewrite in place on the key's level. *)
-    let level, head = decode_membership v in
-    let fs = t.arrays.(level - 1) in
-    (match
-       Field_codec.indices_a ~field_bits:t.field_bits ~head
-         (getter t level blocks key)
-     with
-     | None -> invalid_arg "One_probe_dynamic: corrupt pointer chain"
-     | Some stripes ->
-       let enc =
-         Field_codec.encode_a ~field_bits:t.field_bits ~indices:stripes
-           ~satellite ~sigma_bits:t.cfg.sigma_bits
-       in
-       let graph = Field_store.graph fs in
-       let updates =
-         List.map (fun (i, b) -> (Bipartite.neighbor graph key i, Some b)) enc
-       in
-       write_batch t (Field_store.prepare_updates fs ~images:blocks updates))
-  | None ->
-    if t.size >= t.cfg.capacity then
-      invalid_arg "One_probe_dynamic.insert: at capacity";
-    (* First-fit over the levels — all images already in hand. *)
-    let rec place level =
-      if level > Array.length t.arrays then raise (Overflow key)
-      else begin
-        let empties = empty_stripes t level blocks key in
-        if List.length empties >= t.m then begin
-          let stripes = List.filteri (fun i _ -> i < t.m) empties in
-          let enc =
-            Field_codec.encode_a ~field_bits:t.field_bits ~indices:stripes
-              ~satellite ~sigma_bits:t.cfg.sigma_bits
-          in
-          let fs = t.arrays.(level - 1) in
-          let graph = Field_store.graph fs in
-          let updates =
-            List.map (fun (i, b) -> (Bipartite.neighbor graph key i, Some b)) enc
-          in
-          let field_blocks = Field_store.prepare_updates fs ~images:blocks updates in
-          let head =
-            match stripes with
-            | s :: _ -> s
-            | [] ->
-              invalid_arg "One_probe_dynamic: insert needs m >= 1 stripes"
-          in
-          let mem_block =
-            Basic_dict.prepare_insert t.membership key
-              (encode_membership ~level ~head)
-              blocks
-          in
-          write_batch t (mem_block :: field_blocks);
-          t.size <- t.size + 1
-        end
-        else place (level + 1)
-      end
-    in
-    place 1
+  let round = read_plan t key in
+  Leveled.insert t.lv key satellite round ~level_blocks:(in_round t round)
 
-(* pdm-lint: domain local — dictionary bookkeeping mutated under the single-threaded engine loop *)
 let delete t key =
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  match Basic_dict.find_in t.membership key blocks with
-  | None -> false
-  | Some v ->
-    let level, head = decode_membership v in
-    let fs = t.arrays.(level - 1) in
-    (match
-       Field_codec.indices_a ~field_bits:t.field_bits ~head
-         (getter t level blocks key)
-     with
-     | None -> invalid_arg "One_probe_dynamic: corrupt pointer chain"
-     | Some stripes ->
-       let graph = Field_store.graph fs in
-       let updates =
-         List.map (fun i -> (Bipartite.neighbor graph key i, None)) stripes
-       in
-       let field_blocks = Field_store.prepare_updates fs ~images:blocks updates in
-       (match Basic_dict.prepare_delete t.membership key blocks with
-        | None ->
-          (* pdm-lint: allow R3 — unreachable: this branch runs only
-             when the membership lookup just found the key in these
-             same block images, so [prepare_delete] must find it too. *)
-          assert false
-        | Some mem_block ->
-          write_batch t (mem_block :: field_blocks);
-          t.size <- t.size - 1;
-          true))
+  let round = read_plan t key in
+  Leveled.delete t.lv key round ~level_blocks:(in_round t round)

@@ -56,15 +56,17 @@ val size : t -> int
 val find : t -> int -> Bytes.t option
 (** Exactly 1 parallel I/O, worst case. *)
 
-val probe_addresses : t -> int -> Pdm_sim.Pdm.addr list
-(** The blocks {!find} fetches in its single parallel I/O (membership
-    buckets + every level's candidate blocks). For batched schedulers
-    that fetch themselves and decode with {!find_in}. *)
+val probe_addresses : t -> int -> Pdm_sim.Pdm.addr array
+(** The blocks {!find} fetches in its single parallel I/O: the
+    membership buckets first, then every level's candidate blocks in
+    level order, each part laid out as its {!Basic_dict} or
+    {!Field_store} places it. For batched schedulers that fetch
+    themselves and decode with {!find_in}. *)
 
-val find_in :
-  t -> int -> (Pdm_sim.Pdm.addr * int option array) list -> Bytes.t option
-(** Decode a lookup from blocks already fetched (a superset of
-    {!probe_addresses} is fine — extra blocks are ignored). *)
+val find_in : t -> int -> int option array array -> Bytes.t option
+(** Decode a lookup from fetched blocks: block [i] answers address [i]
+    of {!probe_addresses}. {!find}, {!insert} and {!delete} decode
+    their own fetch with the same code. *)
 
 val mem : t -> int -> bool
 

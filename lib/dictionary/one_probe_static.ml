@@ -357,17 +357,23 @@ let machine t = t.machine
 
 let report t = t.rep
 
+(* The candidate fields first, then (case a) the membership buckets. *)
 let probe_addresses t key =
-  Field_store.addresses t.fields key
-  @ (match t.membership with
-     | None -> []
-     | Some memb -> Basic_dict.addresses memb key)
+  let fields = Field_store.plan_blocks t.fields in
+  let n =
+    match t.membership with
+    | None -> fields
+    | Some memb -> fields + Basic_dict.plan_blocks memb
+  in
+  let dst = Array.make n { Pdm.disk = 0; block = 0 } in
+  Field_store.fill_addresses t.fields key dst ~off:0;
+  (match t.membership with
+   | None -> ()
+   | Some memb -> Basic_dict.fill_addresses memb key dst ~off:fields);
+  dst
 
 let find_in t key blocks =
-  let graph = Field_store.graph t.fields in
-  let get i =
-    Field_store.field_in t.fields blocks (Bipartite.neighbor graph key i)
-  in
+  let get = Field_store.neighbor_field t.fields blocks ~off:0 key in
   match t.cfg.case with
   | Case_b ->
     Option.map snd
@@ -381,13 +387,17 @@ let find_in t key blocks =
           [Case_b] stores [None] here. *)
        assert false
      | Some memb ->
-       (match Basic_dict.find_in memb key blocks with
+       (match
+          Basic_dict.find_in memb key blocks
+            ~off:(Field_store.plan_blocks t.fields)
+        with
         | None -> None
         | Some head_bytes ->
           let head = Char.code (Bytes.get head_bytes 0) in
           Field_codec.decode_a ~field_bits:(Field_store.field_bits t.fields)
             ~head ~sigma_bits:t.cfg.sigma_bits get))
 
-let find t key = find_in t key (Pdm.read t.machine (probe_addresses t key))
+let find t key =
+  find_in t key (Pdm.read_views t.machine (probe_addresses t key))
 
 let mem t key = find t key <> None

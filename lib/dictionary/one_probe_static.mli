@@ -75,15 +75,16 @@ val build :
 val find : t -> int -> Bytes.t option
 (** One parallel I/O, always. *)
 
-val probe_addresses : t -> int -> Pdm_sim.Pdm.addr list
+val probe_addresses : t -> int -> Pdm_sim.Pdm.addr array
 (** The blocks {!find} fetches in its single parallel I/O (candidate
-    fields + membership buckets, one per disk). A batched scheduler
-    fetches these itself — coalescing duplicates across concurrent
-    lookups — and decodes with {!find_in}. *)
+    fields, then membership buckets; one per disk). A batched
+    scheduler fetches these itself — coalescing duplicates across
+    concurrent lookups — and decodes with {!find_in}. *)
 
-val find_in : t -> int -> (Pdm_sim.Pdm.addr * int option array) list -> Bytes.t option
-(** Decode a lookup from blocks already fetched (a superset of
-    {!probe_addresses} is fine — extra blocks are ignored). *)
+val find_in : t -> int -> int option array array -> Bytes.t option
+(** Decode a lookup from fetched blocks: block [i] answers address [i]
+    of {!probe_addresses}. {!find} decodes its own fetch with the same
+    code. *)
 
 val mem : t -> int -> bool
 

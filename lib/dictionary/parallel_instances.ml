@@ -53,25 +53,23 @@ let config t = t.cfg
 let size t =
   Array.fold_left (fun acc d -> acc + Basic_dict.size d) 0 t.members
 
-let all_addresses t key =
-  List.concat_map
-    (fun d -> Basic_dict.addresses d key)
-    (Array.to_list t.members)
+(* One combined read round: every member's candidate buckets, each on
+   its own disk group, so a single parallel I/O. *)
+let fetch_all_members t key =
+  Basic_dict.read_plans (Array.map (fun d -> (d, key)) t.members)
 
 (* Which instance holds the key, given a combined fetch. *)
-let locate t key blocks =
+let locate t key (blocks, offs) =
   let rec loop i =
     if i >= Array.length t.members then None
     else
-      match Basic_dict.find_in t.members.(i) key blocks with
+      match Basic_dict.find_in t.members.(i) key blocks ~off:offs.(i) with
       | Some v -> Some (i, v)
       | None -> loop (i + 1)
   in
   loop 0
 
-let find t key =
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  Option.map snd (locate t key blocks)
+let find t key = Option.map snd (locate t key (fetch_all_members t key))
 
 let mem t key = find t key <> None
 
@@ -83,17 +81,15 @@ let insert_batch t entries =
   if List.length (List.sort_uniq compare keys) <> List.length keys then
     invalid_arg "Parallel_instances.insert_batch: duplicate keys in batch";
   (* One combined read round: batch key j's candidate buckets in
-     instance j — each instance contributes blocks on its own disk
-     group, so the whole request is a single parallel I/O. *)
-  let addrs =
-    List.concat
-      (List.mapi (fun j (k, _) -> Basic_dict.addresses t.members.(j) k) entries)
+     instance j. *)
+  let blocks, offs =
+    Basic_dict.read_plans (Array.of_list (List.mapi (fun j k -> (t.members.(j), k)) keys))
   in
-  let blocks = Pdm.read t.machine addrs in
   (* One combined write round: each instance modifies one block. *)
   let writes =
     List.mapi
-      (fun j (k, v) -> Basic_dict.prepare_insert t.members.(j) k v blocks)
+      (fun j (k, v) ->
+        Basic_dict.prepare_insert t.members.(j) k v blocks ~off:offs.(j))
       entries
   in
   if writes <> [] then Pdm.write t.machine writes
@@ -101,11 +97,10 @@ let insert_batch t entries =
 let insert t key value =
   (* Single inserts are duplicate-safe: the combined read sees every
      instance, so an existing copy is updated wherever it lives. *)
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  match locate t key blocks with
-  | Some (i, _) ->
-    let w = Basic_dict.prepare_insert t.members.(i) key value blocks in
-    Pdm.write t.machine [ w ]
+  let blocks, offs = fetch_all_members t key in
+  let into i = Basic_dict.prepare_insert t.members.(i) key value blocks ~off:offs.(i) in
+  match locate t key (blocks, offs) with
+  | Some (i, _) -> Pdm.write t.machine [ into i ]
   | None ->
     (* Place into the least-loaded instance (by size). *)
     let best = ref 0 in
@@ -113,11 +108,9 @@ let insert t key value =
       (fun i d ->
         if Basic_dict.size d < Basic_dict.size t.members.(!best) then best := i)
       t.members;
-    let w = Basic_dict.prepare_insert t.members.(!best) key value blocks in
-    Pdm.write t.machine [ w ]
+    Pdm.write t.machine [ into !best ]
 
 let delete t key =
-  let blocks = Pdm.read t.machine (all_addresses t key) in
-  match locate t key blocks with
+  match locate t key (fetch_all_members t key) with
   | None -> false
   | Some (i, _) -> Basic_dict.delete t.members.(i) key

@@ -4,11 +4,13 @@ module Backend = Pdm_sim.Backend
 
 type addr = Pdm.addr
 
-type blocks = (addr * int option array) list
+module Addr_tbl = Pdm.Addr_tbl
+
+type blocks = int option array array
 
 type step =
   | Done of Bytes.t option
-  | Fetch of addr list * (blocks -> step)
+  | Fetch of addr array * (blocks -> step)
 
 type dict = {
   name : string;
@@ -57,6 +59,14 @@ type stats = {
   max_latency : int;
 }
 
+(* A lookup of the running batch: its step, and once the step is
+   planned the batch slot of each of its addresses. *)
+type flight = {
+  p : pending;
+  mutable step : step;
+  mutable slots : int array;  (* [||] until planned; a planned step has >= 1 address *)
+}
+
 type t = {
   dict : dict;
   cfg : config;
@@ -66,11 +76,21 @@ type t = {
   mutable round : int;
   mutable outcomes : outcome list; (* completion order, reversed *)
   disk_load : int array;           (* cumulative fetches per physical disk *)
-  (* fetch_all's working arrays, kept and grown on demand: allocated
-     per fetch, a large batch's would land on the major heap each time *)
-  mutable reps : int array;        (* replica j of block i: [i * r + j] *)
-  mutable pending_blocks : int array;
-  mutable issued : int array;      (* [reps] slot of each issued block *)
+  used : int array;                (* per physical disk: the last round stamp it served *)
+  mutable stamp : int;             (* fetch rounds packed so far *)
+  (* The running batch's distinct addresses, each mapped to a slot
+     once, in first-seen order; then everything works on slots. These
+     and fetch_all's working arrays are kept and grown on demand:
+     allocated per batch, a large batch's would land on the major heap
+     each time. *)
+  slot_of : int Addr_tbl.t;
+  mutable nslots : int;
+  mutable addr_of : addr array;    (* slot -> address *)
+  mutable images : blocks;         (* slot -> fetched image, [unfetched] before *)
+  mutable owner : int array;       (* slot -> flight that first wanted it *)
+  mutable reps : int array;        (* replica j of slot s: [s * r + j] *)
+  mutable pending_blocks : int array;  (* slots *)
+  mutable issued : int array;      (* [reps] index of each issued block *)
   (* counters *)
   mutable served : int;
   mutable batches : int;
@@ -97,7 +117,9 @@ let create ?(config = default_config) dict =
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
     disk_load = Array.make (Pdm.physical_disks dict.machine) 0;
-    reps = [||]; pending_blocks = [||]; issued = [||];
+    used = Array.make (Pdm.physical_disks dict.machine) 0; stamp = 0;
+    slot_of = Addr_tbl.create 64; nslots = 0; addr_of = [||]; images = [||];
+    owner = [||]; reps = [||]; pending_blocks = [||]; issued = [||];
     served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
     executor_rounds = 0; blocks_fetched = 0; coalesced = 0; cache_hits = 0;
     total_latency = 0; max_latency = 0;
@@ -182,51 +204,118 @@ let exec_update t p =
   t.insert_rounds <- t.insert_rounds + delta;
   complete t p value
 
-(* A batch's blocks by address. *)
-module Addr_tbl = Pdm.Addr_tbl
+(* An image slot not fetched yet. The machine never answers an empty
+   block (block_size >= 1), so the empty array cannot be mistaken for
+   one. *)
+let unfetched : int option array = [||]
 
-(* Advance a step as far as the fetched blocks allow. *)
-let rec settle tbl st =
-  match st with
-  | Done _ -> st
+(* pdm-lint: domain local — copies into a fresh array of the engine's own *)
+let grow a len fill =
+  if Array.length a >= len then a
+  else begin
+    let b = Array.make (max len (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The slots of an unplanned step's addresses, if every one has been
+   fetched in this batch. *)
+let fetched_slots t addrs =
+  let fetched a =
+    match Addr_tbl.find t.slot_of a with
+    | s -> t.images.(s) != unfetched
+    | exception Not_found -> false
+  in
+  if Array.for_all fetched addrs then
+    Some (Array.map (Addr_tbl.find t.slot_of) addrs)
+  else None
+
+(* Advance a lookup as far as the fetched blocks allow: a planned step
+   reads its slots, an unplanned one (a continuation's next step)
+   settles only if every address is already fetched. *)
+(* pdm-lint: domain local — the flight's step and slots, owned by the running batch *)
+let rec settle t f =
+  match f.step with
+  | Done _ -> ()
   | Fetch (addrs, k) -> (
-    match List.map (fun a -> (a, Addr_tbl.find tbl a)) addrs with
-    | blocks -> settle tbl (k blocks)
-    | exception Not_found -> st)
+    match
+      if Array.length f.slots > 0 then Some f.slots else fetched_slots t addrs
+    with
+    | None -> ()
+    | Some slots ->
+      f.slots <- [||];
+      f.step <- k (Array.map (fun s -> t.images.(s)) slots);
+      settle t f)
 
-(* The executor: pack [wanted] (distinct blocks, each with the oldest
-   request waiting on it) into rounds of at most one block per disk.
-   Each round walks the pending blocks once, oldest first, and gives
-   each block the healthy replica disk with the least cumulative load
-   among those still free this round (the first such replica on a
-   tie); a block whose healthy replicas are all taken waits for the
-   next round, keeping its place. A block with no healthy replica left
-   is issued anyway on replica 0 so the machine's structured error
-   surfaces, attributed to the oldest issued request with a block on
-   the failing disk (else the round's first). Replica disks are
-   resolved once per fetch, since placement moves only in scrub;
-   health is re-read every round, since a read that meets a dead disk
-   marks it down. *)
-(* pdm-lint: domain local — round counters, working arrays and the batch's block table owned by the engine's single domain *)
-let fetch_all t tbl (wanted : (addr * pending) array) =
+(* Plan the [x]-th flight's step: hash each address once into its slot.
+   Every repeat of an address that already has a slot is one coalesced
+   fetch; a new slot the cache holds is filled at once, as a cache hit. *)
+(* pdm-lint: domain local — the flight's slots, the batch's slot arrays and the engine's counters, owned by the running batch *)
+let plan t x f =
+  let slot a =
+    match Addr_tbl.find t.slot_of a with
+    | s ->
+      t.coalesced <- t.coalesced + 1;
+      s
+    | exception Not_found ->
+      let s = t.nslots in
+      t.nslots <- s + 1;
+      t.addr_of <- grow t.addr_of (s + 1) a;
+      t.images <- grow t.images (s + 1) unfetched;
+      t.owner <- grow t.owner (s + 1) 0;
+      Addr_tbl.add t.slot_of a s;
+      t.addr_of.(s) <- a;
+      t.owner.(s) <- x;
+      t.images.(s) <-
+        (match t.cache with
+         | None -> unfetched
+         | Some c -> (
+           match Cache.find_cached c a with
+           | Some data ->
+             t.cache_hits <- t.cache_hits + 1;
+             data
+           | None -> unfetched));
+      s
+  in
+  match f.step with
+  | Done _ -> ()
+  | Fetch (addrs, _) -> f.slots <- Array.map slot addrs
+
+(* The executor: pack the slots from [first] on that the cache did not
+   fill (distinct blocks, each with the oldest flight waiting on it)
+   into rounds of at most one block per disk. Each round walks the
+   pending blocks once, oldest first, and gives each block the healthy
+   replica disk with the least cumulative load among those still free
+   this round (the first such replica on a tie); a block whose healthy
+   replicas are all taken waits for the next round, keeping its place.
+   A block with no healthy replica left is issued anyway on replica 0
+   so the machine's structured error surfaces, attributed to the
+   oldest issued request with a block on the failing disk (else the
+   round's first). Replica disks are resolved once per fetch, since
+   placement moves only in scrub; health is re-read every round, since
+   a read that meets a dead disk marks it down. *)
+(* pdm-lint: domain local — round counters, working arrays and the batch's slot images owned by the engine's single domain *)
+let fetch_all t flights ~first =
   let m = t.dict.machine in
-  let n = Array.length wanted in
   let r = Pdm.replicas m in
-  let grow a len = if Array.length a >= len then a else Array.make len 0 in
-  t.reps <- grow t.reps (n * r);
-  t.pending_blocks <- grow t.pending_blocks n;
-  t.issued <- grow t.issued n;
+  t.reps <- grow t.reps (t.nslots * r) 0;
+  t.pending_blocks <- grow t.pending_blocks t.nslots 0;
+  t.issued <- grow t.issued t.nslots 0;
   let reps = t.reps and pending = t.pending_blocks and issued = t.issued in
-  Array.iteri
-    (fun i (a, _) ->
-      List.iteri (fun j d -> reps.((i * r) + j) <- d) (Pdm.replica_disks m a))
-    wanted;
-  let used = Array.make (Array.length t.disk_load) (-1) in (* round stamp *)
-  for i = 0 to n - 1 do
-    pending.(i) <- i
+  let used = t.used in
+  let npending = ref 0 in
+  for i = first to t.nslots - 1 do
+    if t.images.(i) == unfetched then begin
+      for j = 0 to r - 1 do
+        reps.((i * r) + j) <- Pdm.replica_disk m t.addr_of.(i) j
+      done;
+      pending.(!npending) <- i;
+      incr npending
+    end
   done;
-  let npending = ref n and round = ref 0 in
   while !npending > 0 do
+    t.stamp <- t.stamp + 1;
+    let stamp = t.stamp in
     let nissued = ref 0 and ndeferred = ref 0 in
     for x = 0 to !npending - 1 do
       let i = pending.(x) in
@@ -236,7 +325,7 @@ let fetch_all t tbl (wanted : (addr * pending) array) =
         if not (Pdm.disk_down m d) then begin
           healthy := true;
           if
-            used.(d) <> !round
+            used.(d) <> stamp
             && (!best < 0 || t.disk_load.(d) < t.disk_load.(reps.(!best)))
           then best := s
         end
@@ -251,19 +340,21 @@ let fetch_all t tbl (wanted : (addr * pending) array) =
         incr ndeferred
       end
       else begin
-        used.(reps.(!best)) <- !round;
+        used.(reps.(!best)) <- stamp;
         issued.(!nissued) <- !best;
         incr nissued
       end
     done;
-    let assignment = ref [] in
-    for c = !nissued - 1 downto 0 do
-      let s = issued.(c) in
-      assignment := (fst wanted.(s / r), s mod r) :: !assignment
+    (* every round issues its first pending block *)
+    let addrs = Array.make !nissued t.addr_of.(issued.(0) / r) in
+    let prefs = Array.make !nissued 0 in
+    for c = 0 to !nissued - 1 do
+      addrs.(c) <- t.addr_of.(issued.(c) / r);
+      prefs.(c) <- issued.(c) mod r
     done;
     let before = Pdm.rounds_total m in
     let fetched =
-      try Pdm.read_preferring m !assignment
+      try Pdm.read_preferring m addrs prefs
       with e -> (
         match Backend.describe e with
         | None -> raise e
@@ -282,12 +373,11 @@ let fetch_all t tbl (wanted : (addr * pending) array) =
             in
             has 0
           in
-          (* every round issues its first pending block *)
           let rec culprit c =
             if c >= !nissued then 0 else if on_failing_disk c then c
             else culprit (c + 1)
           in
-          let p = snd wanted.(issued.(culprit 0) / r) in
+          let p = flights.(t.owner.(issued.(culprit 0) / r)).p in
           raise
             (Request_failed
                { id = p.id; key = request_key p.request; error = e }))
@@ -298,18 +388,14 @@ let fetch_all t tbl (wanted : (addr * pending) array) =
     t.executor_rounds <- t.executor_rounds + 1;
     for c = 0 to !nissued - 1 do
       let d = reps.(issued.(c)) in
-      t.disk_load.(d) <- t.disk_load.(d) + 1
+      t.disk_load.(d) <- t.disk_load.(d) + 1;
+      t.blocks_fetched <- t.blocks_fetched + 1;
+      t.images.(issued.(c) / r) <- fetched.(c);
+      match t.cache with
+      | Some ch -> Cache.note_fetched ch addrs.(c) fetched.(c)
+      | None -> ()
     done;
-    List.iter
-      (fun (a, data) ->
-        t.blocks_fetched <- t.blocks_fetched + 1;
-        Addr_tbl.replace tbl a data;
-        match t.cache with
-        | Some c -> Cache.note_fetched c a data
-        | None -> ())
-      fetched;
-    npending := !ndeferred;
-    incr round
+    npending := !ndeferred
   done
 
 (* pdm-lint: domain local — batch bookkeeping on t; batches are formed and executed on one domain *)
@@ -324,63 +410,43 @@ let run_batch t batch =
       batch
   in
   List.iter (fun p -> exec_update t p) updates;
-  let tbl = Addr_tbl.create 64 and seen = Addr_tbl.create 64 in
-  let inflight =
-    List.map (fun p -> (p, ref (t.dict.lookup (request_key p.request)))) lookups
+  let flights =
+    Array.of_list
+      (List.map
+         (fun p ->
+           { p; step = t.dict.lookup (request_key p.request); slots = [||] })
+         lookups)
   in
-  let rec pass inflight =
-    let still =
-      List.filter
-        (fun (p, str) ->
-          match settle tbl !str with
-          | Done v ->
-            complete t p v;
-            false
-          | st ->
-            str := st;
-            true)
-        inflight
-    in
-    if still <> [] then begin
-      (* Plan: union of missing blocks across all in-flight steps, in
-         first-seen (= oldest request first) order. Every repeat of an
-         already-planned or already-fetched block is one coalesced
-         fetch; a first sighting the cache holds is a cache hit. *)
-      Addr_tbl.clear seen;
-      let wanted = ref [] in
-      List.iter
-        (fun (p, str) ->
-          match !str with
-          | Done _ ->
-            (* pdm-lint: allow R3 — unreachable: [still] keeps only
-               requests whose step did not settle to [Done] in the
-               filter above. *)
-            assert false
-          | Fetch (addrs, _) ->
-            List.iter
-              (fun a ->
-                if Addr_tbl.mem tbl a || Addr_tbl.mem seen a then
-                  t.coalesced <- t.coalesced + 1
-                else
-                  let cached =
-                    match t.cache with
-                    | Some c -> Cache.find_cached c a
-                    | None -> None
-                  in
-                  match cached with
-                  | Some data ->
-                    Addr_tbl.replace tbl a data;
-                    t.cache_hits <- t.cache_hits + 1
-                  | None ->
-                    Addr_tbl.add seen a ();
-                    wanted := (a, p) :: !wanted)
-              addrs)
-        still;
-      if !wanted <> [] then fetch_all t tbl (Array.of_list (List.rev !wanted));
-      pass still
-    end
-  in
-  pass inflight
+  let live = ref (Array.length flights) in
+  (* the batch's slots go with it, and its images with them *)
+  Fun.protect
+    ~finally:(fun () ->
+      Addr_tbl.clear t.slot_of;
+      Array.fill t.images 0 t.nslots unfetched;
+      t.nslots <- 0)
+    (fun () ->
+      while !live > 0 do
+        (* Settle what the fetched blocks allow, completing in flight
+           order and keeping the rest in order. *)
+        let still = ref 0 in
+        for x = 0 to !live - 1 do
+          let f = flights.(x) in
+          settle t f;
+          match f.step with
+          | Done v -> complete t f.p v
+          | Fetch _ ->
+            flights.(!still) <- f;
+            incr still
+        done;
+        live := !still;
+        (* Plan: the union of missing blocks across all in-flight
+           steps, in first-seen (= oldest request first) order. *)
+        let first = t.nslots in
+        for x = 0 to !live - 1 do
+          plan t x flights.(x)
+        done;
+        fetch_all t flights ~first
+      done)
 
 (* pdm-lint: domain local — queue pop from t.queue; submit/take run on the same serving domain today *)
 let take_batch t =

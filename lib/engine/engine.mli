@@ -8,7 +8,8 @@
     exhibit that bound. This engine supplies the missing half of the
     system: simulated clients submit lookup/insert requests into an
     admission queue; a batcher closes batches by size or round
-    deadline; a planner maps each request to its probe blocks,
+    deadline; a planner maps each request's probe blocks to batch
+    slots — one per distinct address, hashed once — which
     {e coalesces duplicate fetches} across the batch, consults an
     optional {!Pdm_sim.Cache}, and assigns every remaining fetch to
     the least-loaded healthy replica disk; a round executor then packs
@@ -26,21 +27,22 @@
 
 type addr = Pdm_sim.Pdm.addr
 
-type blocks = (addr * int option array) list
-(** Fetched blocks, as {!Pdm_sim.Pdm.read_preferring} returns them:
-    the machine's stored images, not copies, shared between the
-    requests of one batch. Continuations must treat them as read-only;
-    under the sanitizer, a write into one raises
-    [Sanitizer_violation] (check [read-only-view]) at the machine's
-    next counted request. *)
+type blocks = int option array array
+(** Fetched blocks in plan positions: block [i] answers address [i] of
+    the step's plan, also when the plan names one address twice. They
+    are what {!Pdm_sim.Pdm.read_preferring} returns: the machine's
+    stored images, not copies, shared between the requests of one
+    batch. Continuations must treat them as read-only; under the
+    sanitizer, a write into one raises [Sanitizer_violation] (check
+    [read-only-view]) at the machine's next counted request. *)
 
 type step =
   | Done of Bytes.t option  (** The answer. *)
-  | Fetch of addr list * (blocks -> step)
+  | Fetch of addr array * (blocks -> step)
       (** Probe these blocks, then continue decoding. The continuation
-          receives exactly the requested addresses (in order) and may
-          itself return another [Fetch] — e.g. the cascade's
-          second-round level read. *)
+          receives one block per address, in plan order, and may itself
+          return another [Fetch] — e.g. the cascade's second-round
+          level read. An empty plan continues at once. *)
 
 type dict = {
   name : string;

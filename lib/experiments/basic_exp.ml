@@ -61,9 +61,8 @@ let run ?(universe = 1 lsl 22) ?(n = 1000) ?(degree = 8) ?(seed = 13)
             members
         in
         let placement_of k =
-          List.map
-            (fun a -> (a, Pdm.peek machine a))
-            (Basic.addresses d k)
+          Array.to_list (Basic.addresses d k)
+          |> List.map (fun a -> (a, Pdm.peek machine a))
           |> List.filter_map (fun (a, block) ->
                  let width = Basic.record_width d in
                  Option.map

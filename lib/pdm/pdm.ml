@@ -24,6 +24,8 @@ type workspace = {
   per_disk : int array;  (* blocks moved per disk this round, untraced *)
   mutable next : int array;  (* per transfer: the one queued behind it *)
   mutable attempts : int array;  (* per transfer: failed attempts *)
+  last : int array;  (* per disk: latest position of a read_preferring request on it *)
+  mutable chain : int array;  (* per position: the previous one on its disk, -1 = none *)
 }
 
 type 'a t = {
@@ -59,7 +61,9 @@ let workspace channels =
     left = Array.make channels 0;
     per_disk = Array.make channels 0;
     next = [||];
-    attempts = [||] }
+    attempts = [||];
+    last = Array.make channels (-1);
+    chain = [||] }
 
 let physical_disks_of ~disks ~spares = disks + spares
 let physical_blocks_of ~replicas ~blocks_per_disk = replicas * blocks_per_disk
@@ -194,9 +198,11 @@ let check_addr t { disk; block } =
   if block < 0 || block >= t.blocks_per_disk then
     invalid_arg "Pdm: block out of range"
 
-let replica_disks t a =
+let replica_disk t a j =
   check_addr t a;
-  List.init t.replicas (phys_disk t a)
+  if j < 0 || j >= t.replicas then
+    invalid_arg "Pdm.replica_disk: replica out of range";
+  phys_disk t a j
 
 let replica_addr t a ~replica =
   check_addr t a;
@@ -213,10 +219,6 @@ module Addr_tbl = Hashtbl.Make (struct
   let equal = equal_addr
   let hash (a : addr) = (a.block * 65_599) + a.disk
 end)
-
-let rec assoc_addr a = function
-  | [] -> None
-  | (b, v) :: rest -> if equal_addr a b then Some v else assoc_addr a rest
 
 (* Keep the first element of each address, in list order; a list
    without duplicates comes back as itself. *)
@@ -579,7 +581,7 @@ let choose t a ~pref mask =
    terminal failure escape as a structured exception. With [copy] each
    answer is a fresh array; without it, the stored image itself (and
    the machine's one [empty] block for a never-written address).
-   Answers come back in request order. *)
+   Answer [i] is block [addrs.(i)]'s. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let read_candidates t ~copy addrs prefs =
   let n = Array.length addrs in
@@ -621,50 +623,72 @@ let read_candidates t ~copy addrs prefs =
       pending.(x) <- failed.(!nfailed - 1 - x)
     done
   done;
-  let rec answers i acc =
-    if i < 0 then acc else answers (i - 1) ((addrs.(i), results.(i)) :: acc)
-  in
-  answers (n - 1) []
+  results
 
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let read t addrs =
   check_views t;
   List.iter (check_addr t) addrs;
   let addrs = Array.of_list (dedup Fun.id addrs) in
-  read_candidates t ~copy:true addrs (Array.make (Array.length addrs) 0)
+  let blocks =
+    read_candidates t ~copy:true addrs (Array.make (Array.length addrs) 0)
+  in
+  List.init (Array.length addrs) (fun i -> (addrs.(i), blocks.(i)))
 
 let read_one t a =
-  match read t [ a ] with
-  | [ (_, slots) ] -> slots
-  | _ ->
-    (* pdm-lint: allow R3 — unreachable: {!read} answers each distinct
-       requested address exactly once, so a one-address request always
-       yields a one-element list. *)
-    assert false
+  check_views t;
+  check_addr t a;
+  (read_candidates t ~copy:true [| a |] [| 0 |]).(0)
+
+(* Raise unless [addrs] are distinct. The positions on one disk are
+   chained newest first through the workspace, so a request with one
+   block per disk compares no two addresses. *)
+(* pdm-lint: domain local — the machine's workspace chains; one scheduler per simulation, never shared *)
+let check_distinct t addrs =
+  let ws = t.ws in
+  let n = Array.length addrs in
+  if Array.length ws.chain < n then
+    ws.chain <- Array.make (max n (2 * Array.length ws.chain)) (-1);
+  let last = ws.last and chain = ws.chain in
+  Array.fill last 0 t.disks (-1);
+  for i = 0 to n - 1 do
+    let a = addrs.(i) in
+    let rec seen k = k >= 0 && (addrs.(k).block = a.block || seen chain.(k)) in
+    if seen last.(a.disk) then
+      invalid_arg "Pdm.read_preferring: duplicate address";
+    chain.(i) <- last.(a.disk);
+    last.(a.disk) <- i
+  done
 
 (* Replica-directed read: the caller chose which replica should serve
    each block (e.g. two-choice assignment onto the least-loaded disk);
    the chosen replica is tried first and the remaining ones stay as
    failover candidates in home order. On an unreplicated machine every
    preference is 0 and this is {!read} without the copies: the answers
-   are the stored images themselves, read-only. Under the sanitizer
-   each image is snapshotted for {!check_views}. *)
+   are the stored images themselves, read-only, answer [i] for
+   [addrs.(i)]. Every preference is validated before the addresses are
+   checked for duplicates. Under the sanitizer each image is
+   snapshotted for {!check_views}. *)
 (* pdm-lint: domain local — down-disk mask and sanitizer views on t, owned by the scheduler *)
-let read_preferring t prefs =
+let read_preferring t addrs prefs =
   check_views t;
-  List.iter
-    (fun (a, j) ->
-      check_addr t a;
-      if j < 0 || j >= t.replicas then
-        invalid_arg "Pdm.read_preferring: replica out of range")
-    prefs;
-  let prefs = Array.of_list (dedup fst prefs) in
-  let answers =
-    read_candidates t ~copy:false (Array.map fst prefs) (Array.map snd prefs)
-  in
+  let n = Array.length addrs in
+  if Array.length prefs <> n then
+    invalid_arg "Pdm.read_preferring: one preference per address";
+  for i = 0 to n - 1 do
+    check_addr t addrs.(i);
+    if prefs.(i) < 0 || prefs.(i) >= t.replicas then
+      invalid_arg "Pdm.read_preferring: replica out of range"
+  done;
+  check_distinct t addrs;
+  let blocks = read_candidates t ~copy:false addrs prefs in
   if Sanitize.active () then
-    t.views <- List.map (fun (a, image) -> (a, image, Array.copy image)) answers;
-  answers
+    t.views <-
+      List.init n (fun i -> (addrs.(i), blocks.(i), Array.copy blocks.(i)));
+  blocks
+
+let read_views t addrs =
+  read_preferring t addrs (Array.make (Array.length addrs) 0)
 
 (* Run a user-supplied integrity envelope, cross-checking (under the
    sanitizer) that it really produces stored images of the size it

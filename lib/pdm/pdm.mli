@@ -77,10 +77,6 @@ type 'a t
 type addr = { disk : int; block : int }
 (** Address of one block. *)
 
-val assoc_addr : addr -> (addr * 'b) list -> 'b option
-(** [List.assoc_opt] over block addresses, matched by two integer
-    compares instead of polymorphic compare. *)
-
 (** Hash tables keyed by block address: disk and block hashed as one
     integer and compared as integers. *)
 module Addr_tbl : Hashtbl.S with type key = addr
@@ -189,27 +185,30 @@ val read_one : 'a t -> addr -> 'a option array
 (** Read a single block: exactly one parallel I/O (more under faults
     or failover). *)
 
-val replica_disks : 'a t -> addr -> int list
-(** The physical disk currently holding each replica of the logical
-    block, in replica order (index [j] is replica [j], following any
-    repair-time remapping). A scheduler can combine this with
-    {!disk_down} to place a read on the least-loaded healthy copy. *)
+val replica_disk : 'a t -> addr -> int -> int
+(** [replica_disk t a j] is the physical disk currently holding replica
+    [j] of the logical block (following any repair-time remapping).
+    A scheduler can combine this with {!disk_down} to place a read on
+    the least-loaded healthy copy. [Invalid_argument] unless
+    [0 <= j < replicas t]. *)
 
 val replica_addr : 'a t -> addr -> replica:int -> addr
 (** The physical address (disk and block) currently holding one
     replica of the logical block, following any repair-time
     remapping. *)
 
-val read_preferring : 'a t -> (addr * int) list -> (addr * 'a option array) list
-(** [read_preferring t [(a, j); ...]] is {!read} with the replica
-    choice made by the caller: block [a] is served by replica [j]
-    when that disk answers, failing over to the remaining replicas
-    (in home order) otherwise. Every preference must be a valid
-    replica ([0 <= j < replicas t]), duplicates included; duplicate
-    addresses then keep their first preference, and answers come in
-    first-request order, as for {!read}. Rounds, stats and trace
-    events are exactly {!read}'s; on an unreplicated machine every
-    preference is 0.
+val read_preferring : 'a t -> addr array -> int array -> 'a option array array
+(** [read_preferring t addrs prefs] is {!read} with the replica choice
+    made by the caller and the answers in positions: block [addrs.(i)]
+    is served by replica [prefs.(i)] when that disk answers, failing
+    over to the remaining replicas (in home order) otherwise, and
+    answer [i] is that block. Every preference must be a valid replica
+    ([0 <= j < replicas t]); then the addresses must be distinct: a
+    duplicate raises [Invalid_argument] before any I/O (callers that
+    plan with repeats, such as the batched query engine, map each
+    distinct address to one position first). Rounds, stats and trace
+    events are exactly {!read}'s of the same addresses; on an
+    unreplicated machine every preference is 0.
 
     Unlike {!read}, the answers are not copies: each is the stored
     image itself (checksum cells stripped), or one empty block shared
@@ -219,6 +218,12 @@ val read_preferring : 'a t -> (addr * int) list -> (addr * 'a option array) list
     [read-only-view] check enforces this (see {!set_sanitize}). The
     batched query engine uses this to place each fetch on the
     least-loaded healthy replica disk without copying its blocks. *)
+
+val read_views : 'a t -> addr array -> 'a option array array
+(** [read_views t addrs] is [read_preferring t addrs] with every
+    preference replica 0: {!read}'s rounds, answered in positions and
+    read-only. Dictionaries read a key's probe plan this way and copy
+    only the blocks they edit. *)
 
 val write : 'a t -> (addr * 'a option array) list -> unit
 (** [write t blocks] stores the given blocks — all replicas of each —

@@ -68,6 +68,14 @@ let put_u16 b v =
   put_u8 b v;
   put_u8 b (v lsr 8)
 
+(* A count, shard or disk in a 16-bit field: one above 0xffff would
+   wrap onto another (and a wrapped count would frame the wrong number
+   of entries). *)
+let put_field16 b what v =
+  if v < 0 || v > 0xffff then
+    invalid_arg (Printf.sprintf "Wire: %s %d out of 16-bit range" what v);
+  put_u16 b v
+
 let put_u32 b v =
   put_u16 b (v land 0xffff);
   put_u16 b ((v lsr 16) land 0xffff)
@@ -130,7 +138,7 @@ let encode_request { rid; req } =
      check_key (match o with Get k | Delete k | Insert (k, _) -> k);
      put_op_body b o
    | Batch ops ->
-     put_u16 b (List.length ops);
+     put_field16 b "batch count" (List.length ops);
      List.iter
        (fun o ->
          check_key (match o with Get k | Delete k | Insert (k, _) -> k);
@@ -138,9 +146,9 @@ let encode_request { rid; req } =
          put_op_body b o)
        ops
    | Kill_disk { shard; disk } ->
-     put_u16 b shard;
-     put_u16 b disk
-   | Scrub { shard } -> put_u16 b shard);
+     put_field16 b "shard" shard;
+     put_field16 b "disk" disk
+   | Scrub { shard } -> put_field16 b "shard" shard);
   frame_of_payload (Buffer.to_bytes b)
 
 let encode_reply { rid; rep } =
@@ -163,13 +171,13 @@ let encode_reply { rid; rep } =
    | Pong | Admin_ok | Busy -> ()
    | Result r -> put_result b r
    | Results rs ->
-     put_u16 b (List.length rs);
+     put_field16 b "result count" (List.length rs);
      List.iter (put_result b) rs
    | Stats_reply ss ->
-     put_u16 b (List.length ss);
+     put_field16 b "stat count" (List.length ss);
      List.iter
        (fun s ->
-         put_u16 b s.shard;
+         put_field16 b "shard" s.shard;
          put_u64 b s.rounds;
          put_u64 b s.served;
          put_u64 b s.fetched)
@@ -334,42 +342,45 @@ let decode_reply payload =
 (* --- incremental framing ----------------------------------------- *)
 
 module Framing = struct
-  type t = { mutable pending : Bytes.t }
+  (* The unread bytes are [buf.[start .. stop)]: a frame is taken by
+     moving [start] past it, and [feed] compacts them to the front once
+     per call, growing the buffer only when they and the new bytes do
+     not fit. Each payload is a fresh [Bytes]. *)
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
 
-  let create () = { pending = Bytes.empty }
+  let create () = { buf = Bytes.empty; start = 0; stop = 0 }
 
   (* pdm-lint: domain local — a Framing.t belongs to one connection,
      fed and drained from the connection's single reader *)
-  let feed t buf n =
-    let old = t.pending in
-    let merged = Bytes.create (Bytes.length old + n) in
-    Bytes.blit old 0 merged 0 (Bytes.length old);
-    Bytes.blit buf 0 merged (Bytes.length old) n;
-    t.pending <- merged
-
-  let peek_len t =
-    let b = t.pending in
-    if Bytes.length b < 4 then None
-    else
-      Some
-        (Char.code (Bytes.get b 0)
-         lor (Char.code (Bytes.get b 1) lsl 8)
-         lor (Char.code (Bytes.get b 2) lsl 16)
-         lor (Char.code (Bytes.get b 3) lsl 24))
+  let feed t src n =
+    let unread = t.stop - t.start in
+    if unread + n > Bytes.length t.buf then begin
+      let grown = Bytes.create (max (unread + n) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf t.start grown 0 unread;
+      t.buf <- grown
+    end
+    else if t.start > 0 then Bytes.blit t.buf t.start t.buf 0 unread;
+    Bytes.blit src 0 t.buf unread n;
+    t.start <- 0;
+    t.stop <- unread + n
 
   (* pdm-lint: domain local — see [feed] *)
   let next t =
-    match peek_len t with
-    | None -> `Await
-    | Some n when n > max_frame -> `Oversized n
-    | Some n ->
-      if Bytes.length t.pending < 4 + n then `Await
+    let b = t.buf and s = t.start in
+    if t.stop - s < 4 then `Await
+    else
+      let n =
+        Char.code (Bytes.get b s)
+        lor (Char.code (Bytes.get b (s + 1)) lsl 8)
+        lor (Char.code (Bytes.get b (s + 2)) lsl 16)
+        lor (Char.code (Bytes.get b (s + 3)) lsl 24)
+      in
+      if n > max_frame then `Oversized n
+      else if t.stop - s < 4 + n then `Await
       else begin
-        let frame = Bytes.sub t.pending 4 n in
-        let rest = Bytes.length t.pending - 4 - n in
-        t.pending <- Bytes.sub t.pending (4 + n) rest;
-        `Frame frame
+        t.start <- s + 4 + n;
+        `Frame (Bytes.sub b (s + 4) n)
       end
 
-  let buffered t = Bytes.length t.pending
+  let buffered t = t.stop - t.start
 end

@@ -77,9 +77,13 @@ val error_code_of_int : int -> error_code option
 
 val encode_request : req_frame -> Bytes.t
 (** Full frame, length prefix included. Raises [Invalid_argument] on
-    a negative key/rid or a payload over {!max_frame}. *)
+    a negative key/rid, a batch count, shard or disk outside the
+    16-bit field that carries it ([0, 0xffff]), or a payload over
+    {!max_frame}. *)
 
 val encode_reply : rep_frame -> Bytes.t
+(** As {!encode_request}: a result count, stat count or stat shard
+    outside [0, 0xffff] raises [Invalid_argument]. *)
 
 val decode_request : Bytes.t -> (req_frame, error_code * string) result
 (** Decode one frame payload (without the length prefix). Total: any
@@ -94,7 +98,8 @@ module Framing : sig
   val create : unit -> t
 
   val feed : t -> bytes -> int -> unit
-  (** [feed t buf n] appends the first [n] bytes of [buf]. *)
+  (** [feed t buf n] appends the first [n] bytes of [buf]. Work and
+      allocation are linear in the bytes fed and the frames taken. *)
 
   val next : t -> [ `Frame of Bytes.t | `Await | `Oversized of int ]
   (** Pop the next complete frame payload; [`Await] when more bytes

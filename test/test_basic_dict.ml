@@ -178,15 +178,28 @@ let test_value_too_large_rejected () =
 
 let test_combined_fetch_decoding () =
   (* find_in must work from a combined fetch (the 2d-disk trick used by
-     the composite structures). *)
+     the composite structures): the key's plan sits at an offset of a
+     larger fetch, here after another key's plan. *)
   let machine, d = mk () in
   Basic.insert d 11 (value_of 11);
-  let blocks = Pdm.read machine (Basic.addresses d 11) in
-  (match Basic.find_in d 11 blocks with
+  let fetch_after other key =
+    let n = Basic.plan_blocks d in
+    let addrs = Array.make (2 * n) { Pdm.disk = 0; block = 0 } in
+    Basic.fill_addresses d other addrs ~off:0;
+    Basic.fill_addresses d key addrs ~off:n;
+    let distinct = List.sort_uniq compare (Array.to_list addrs) in
+    let by_addr = Pdm.read machine distinct in
+    (Array.map (fun a -> List.assoc a by_addr) addrs, n)
+  in
+  let blocks, off = fetch_after 9999 11 in
+  (match Basic.find_in d 11 blocks ~off with
    | Some v -> check_bytes "value via find_in" "00000011" (Bytes.to_string v)
    | None -> Alcotest.fail "find_in missed");
+  Alcotest.(check (option string)) "the part before it decodes alone" None
+    (Option.map Bytes.to_string (Basic.find_in d 9999 blocks ~off:0));
+  let blocks, off = fetch_after 11 9999 in
   Alcotest.(check (option string)) "absent via find_in" None
-    (Option.map Bytes.to_string (Basic.find_in d 9999 (Pdm.read machine (Basic.addresses d 9999))))
+    (Option.map Bytes.to_string (Basic.find_in d 9999 blocks ~off))
 
 let test_shared_machine_disk_offset () =
   (* Two dictionaries on disjoint disk groups of one machine: one
@@ -206,12 +219,16 @@ let test_shared_machine_disk_offset () =
   Basic.insert d2 42 (Bytes.of_string "bbbb");
   Stats.reset (Pdm.stats machine);
   let blocks =
-    Pdm.read machine (Basic.addresses d1 42 @ Basic.addresses d2 42)
+    Pdm.read_views machine
+      (Array.append (Basic.addresses d1 42) (Basic.addresses d2 42))
   in
   check "combined read = 1 I/O" 1
     (Stats.parallel_ios (Stats.snapshot (Pdm.stats machine)));
-  checkb "d1 decodes" true (Basic.find_in d1 42 blocks <> None);
-  checkb "d2 decodes" true (Basic.find_in d2 42 blocks <> None)
+  Alcotest.(check (option string)) "d1 decodes" (Some "aaaa")
+    (Option.map Bytes.to_string (Basic.find_in d1 42 blocks ~off:0));
+  Alcotest.(check (option string)) "d2 decodes" (Some "bbbb")
+    (Option.map Bytes.to_string
+       (Basic.find_in d2 42 blocks ~off:(Basic.plan_blocks d1)))
 
 let test_deterministic_layout () =
   let build () =

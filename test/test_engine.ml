@@ -43,13 +43,14 @@ let synthetic ?(replicas = 1) ?(spares = 0) ?(disks = 8) ?(blocks = 8) ~plan
     done
   done;
   let decode bs =
-    List.fold_left
-      (fun acc (_, arr) -> match arr.(0) with Some v -> acc + v | None -> acc)
+    Array.fold_left
+      (fun acc arr -> match arr.(0) with Some v -> acc + v | None -> acc)
       0 bs
   in
   let lookup k =
     Engine.Fetch
-      (plan k, fun bs -> Engine.Done (Some (Bytes.of_string (string_of_int (decode bs)))))
+      ( Array.of_list (plan k),
+        fun bs -> Engine.Done (Some (Bytes.of_string (string_of_int (decode bs)))) )
   in
   ( m,
     { Engine.name = "synthetic"; machine = m; lookup; insert = None;
@@ -270,10 +271,11 @@ let test_read_preferring_uses_requested_replica () =
   in
   let a = { Pdm.disk = 0; block = 3 } in
   Pdm.write_one m a (block_of m [ 42 ]);
-  Alcotest.(check (list int)) "replica disks" [ 0; 1 ] (Pdm.replica_disks m a);
+  Alcotest.(check (list int)) "replica disks" [ 0; 1 ]
+    (List.init 2 (Pdm.replica_disk m a));
   Stats.reset (Pdm.stats m);
-  (match Pdm.read_preferring m [ (a, 1) ] with
-   | [ (_, arr) ] -> Alcotest.(check (option int)) "value" (Some 42) arr.(0)
+  (match Pdm.read_preferring m [| a |] [| 1 |] with
+   | [| arr |] -> Alcotest.(check (option int)) "value" (Some 42) arr.(0)
    | _ -> Alcotest.fail "one block expected");
   let snap = Stats.snapshot (Pdm.stats m) in
   check "served by replica disk 1" 1 (Stats.disk_totals snap).(1);
@@ -286,33 +288,45 @@ let test_read_preferring_fails_over () =
   let a = { Pdm.disk = 0; block = 1 } in
   Pdm.write_one m a (block_of m [ 9 ]);
   Pdm.kill_disk m 1;
-  (match Pdm.read_preferring m [ (a, 1) ] with
-   | [ (_, arr) ] ->
+  (match Pdm.read_preferring m [| a |] [| 1 |] with
+   | [| arr |] ->
      Alcotest.(check (option int)) "failover to replica 0" (Some 9) arr.(0)
    | _ -> Alcotest.fail "one block expected");
   Alcotest.check_raises "replica out of range"
     (Invalid_argument "Pdm.read_preferring: replica out of range") (fun () ->
-      ignore (Pdm.read_preferring m [ (a, 2) ]))
+      ignore (Pdm.read_preferring m [| a |] [| 2 |]))
 
-let test_read_preferring_dedups () =
+(* A repeated address is rejected before any I/O; distinct addresses
+   sharing a disk are answered in their positions. *)
+let test_read_preferring_rejects_duplicates () =
   let m : int Pdm.t =
     Pdm.create ~replicas:2 ~disks:4 ~block_size:4 ~blocks_per_disk:8 ()
   in
-  let a = { Pdm.disk = 2; block = 0 } in
+  let a = { Pdm.disk = 2; block = 0 } and b = { Pdm.disk = 2; block = 5 } in
+  let c = { Pdm.disk = 3; block = 0 } in
   Pdm.write_one m a (block_of m [ 5 ]);
-  check "duplicates collapse" 1
-    (List.length (Pdm.read_preferring m [ (a, 0); (a, 1) ]))
+  Pdm.write_one m b (block_of m [ 6 ]);
+  Pdm.write_one m c (block_of m [ 7 ]);
+  let before = Pdm.rounds_total m in
+  Alcotest.check_raises "a repeated address"
+    (Invalid_argument "Pdm.read_preferring: duplicate address") (fun () ->
+      ignore (Pdm.read_preferring m [| a; c; b; a |] [| 0; 1; 0; 1 |]));
+  check "no I/O" before (Pdm.rounds_total m);
+  let first = Array.map (fun arr -> arr.(0)) in
+  Alcotest.(check (array (option int))) "block i answers address i"
+    [| Some 6; Some 7; Some 5 |]
+    (first (Pdm.read_preferring m [| b; c; a |] [| 0; 1; 1 |]))
 
 let test_read_preferring_validates_duplicates () =
-  (* Only the first preference of a duplicate address serves the
-     block, but every preference must still be a valid replica. *)
+  (* Every preference must be a valid replica, a repeated address's
+     included: the range check comes before the duplicate check. *)
   let m : int Pdm.t =
     Pdm.create ~replicas:2 ~disks:4 ~block_size:4 ~blocks_per_disk:8 ()
   in
   let a = { Pdm.disk = 1; block = 2 } in
   Alcotest.check_raises "a duplicate's preference is validated"
     (Invalid_argument "Pdm.read_preferring: replica out of range") (fun () ->
-      ignore (Pdm.read_preferring m [ (a, 0); (a, 5) ]))
+      ignore (Pdm.read_preferring m [| a; a |] [| 0; 5 |]))
 
 (* --- the read-only-view sanitizer check --- *)
 
@@ -327,18 +341,18 @@ let two_step_dict ~scribble =
   let second k = [ { Pdm.disk = (k + 5) mod 8; block = k mod 4 } ] in
   let m, dict, _ = synthetic ~plan:first () in
   let sum bs =
-    List.fold_left
-      (fun acc (_, arr) -> match arr.(0) with Some v -> acc + v | None -> acc)
+    Array.fold_left
+      (fun acc arr -> match arr.(0) with Some v -> acc + v | None -> acc)
       0 bs
   in
   let lookup k =
     Engine.Fetch
-      ( first k,
+      ( Array.of_list (first k),
         fun bs ->
-          if scribble then List.iter (fun (_, arr) -> arr.(0) <- None) bs;
+          if scribble then Array.iter (fun arr -> arr.(0) <- None) bs;
           let s = sum bs in
           Engine.Fetch
-            ( second k,
+            ( Array.of_list (second k),
               fun bs2 ->
                 Engine.Done (Some (Bytes.of_string (string_of_int (s + sum bs2))))
             ) )
@@ -572,7 +586,7 @@ let reference_packing m ~down ~load plans =
       let issue = ref [] and defer = ref [] and unhealthy = ref false in
       List.iter
         (fun (a, i) ->
-          let reps = List.mapi (fun j d -> (j, d)) (Pdm.replica_disks m a) in
+          let reps = List.init (Pdm.replicas m) (fun j -> (j, Pdm.replica_disk m a j)) in
           match List.filter (fun (_, d) -> not (down d)) reps with
           | [] ->
             unhealthy := true;
@@ -716,7 +730,8 @@ let prop_packing_matches_reference =
         let culprit =
           match
             List.find_opt
-              (fun (a, _) -> List.mem failing (Pdm.replica_disks m a))
+              (fun (a, _) ->
+                List.mem failing (List.init (Pdm.replicas m) (Pdm.replica_disk m a)))
               issued
           with
           | Some (_, i) -> i
@@ -731,6 +746,466 @@ let prop_packing_matches_reference =
       | Some (id, _, _), None ->
         QCheck.Test.fail_reportf "unexpected failure of %d" id)
 
+(* --- the batch executor against the list-based one it replaced --- *)
+
+(* The list-based executor, as it stood before plans became positional:
+   a step's blocks come back as an [(addr * block) list], a batch keeps
+   its fetched blocks in an address table that [settle] maps every
+   step's addresses through on every pass, and a [seen] table marks the
+   blocks planned this pass. Only the calls into [Pdm] follow its
+   current signatures. It serves lookups only, from a plan given as
+   lists. *)
+module Reference = struct
+  module Addr_tbl = Pdm.Addr_tbl
+
+  type blocks = (Pdm.addr * int option array) list
+
+  type step = Done of Bytes.t option | Fetch of Pdm.addr list * (blocks -> step)
+
+  type pending = { id : int; key : int; submitted : int }
+
+  type t = {
+    m : int Pdm.t;
+    lookup : int -> step;
+    cfg : Engine.config;
+    cache : int Cache.t option;
+    queue : pending Queue.t;
+    mutable next_id : int;
+    mutable round : int;
+    mutable outcomes : (int * Bytes.t option * int * int) list;
+    disk_load : int array;
+    mutable served : int;
+    mutable batches : int;
+    mutable fetch_rounds : int;
+    mutable blocks_fetched : int;
+    mutable coalesced : int;
+    mutable cache_hits : int;
+    mutable total_latency : int;
+    mutable max_latency : int;
+  }
+
+  let create cfg m lookup =
+    { m; lookup; cfg;
+      cache =
+        (if cfg.Engine.cache_blocks > 0 then
+           Some (Cache.create m ~capacity_blocks:cfg.Engine.cache_blocks)
+         else None);
+      queue = Queue.create (); next_id = 0; round = 0; outcomes = [];
+      disk_load = Array.make (Pdm.physical_disks m) 0;
+      served = 0; batches = 0; fetch_rounds = 0; blocks_fetched = 0;
+      coalesced = 0; cache_hits = 0; total_latency = 0; max_latency = 0 }
+
+  let stats t =
+    { Engine.rounds = t.round; fetch_rounds = t.fetch_rounds;
+      insert_rounds = 0; blocks_fetched = t.blocks_fetched;
+      requests_served = t.served; batches = t.batches;
+      coalesced = t.coalesced; cache_hits = t.cache_hits;
+      total_latency = t.total_latency; max_latency = t.max_latency }
+
+  let complete t p value =
+    let lat = t.round - p.submitted in
+    t.served <- t.served + 1;
+    t.total_latency <- t.total_latency + lat;
+    if lat > t.max_latency then t.max_latency <- lat;
+    t.outcomes <- (p.id, value, p.submitted, t.round) :: t.outcomes
+
+  let rec settle tbl st =
+    match st with
+    | Done _ -> st
+    | Fetch (addrs, k) -> (
+      match List.map (fun a -> (a, Addr_tbl.find tbl a)) addrs with
+      | blocks -> settle tbl (k blocks)
+      | exception Not_found -> st)
+
+  let fetch_all t tbl (wanted : (Pdm.addr * pending) array) =
+    let m = t.m in
+    let n = Array.length wanted in
+    let r = Pdm.replicas m in
+    let reps = Array.make (n * r) 0 in
+    Array.iteri
+      (fun i (a, _) ->
+        for j = 0 to r - 1 do
+          reps.((i * r) + j) <- Pdm.replica_disk m a j
+        done)
+      wanted;
+    let pending = Array.init n Fun.id and issued = Array.make n 0 in
+    let used = Array.make (Array.length t.disk_load) (-1) in
+    let npending = ref n and round = ref 0 in
+    while !npending > 0 do
+      let nissued = ref 0 and ndeferred = ref 0 in
+      for x = 0 to !npending - 1 do
+        let i = pending.(x) in
+        let best = ref (-1) and healthy = ref false in
+        for s = i * r to (i * r) + r - 1 do
+          let d = reps.(s) in
+          if not (Pdm.disk_down m d) then begin
+            healthy := true;
+            if
+              used.(d) <> !round
+              && (!best < 0 || t.disk_load.(d) < t.disk_load.(reps.(!best)))
+            then best := s
+          end
+        done;
+        if not !healthy then begin
+          issued.(!nissued) <- i * r;
+          incr nissued
+        end
+        else if !best < 0 then begin
+          pending.(!ndeferred) <- i;
+          incr ndeferred
+        end
+        else begin
+          used.(reps.(!best)) <- !round;
+          issued.(!nissued) <- !best;
+          incr nissued
+        end
+      done;
+      let assignment = ref [] in
+      for c = !nissued - 1 downto 0 do
+        let s = issued.(c) in
+        assignment := (fst wanted.(s / r), s mod r) :: !assignment
+      done;
+      let before = Pdm.rounds_total m in
+      let fetched =
+        try
+          let addrs = List.map fst !assignment in
+          let blocks =
+            Pdm.read_preferring m (Array.of_list addrs)
+              (Array.of_list (List.map snd !assignment))
+          in
+          List.mapi (fun c a -> (a, blocks.(c))) addrs
+        with e -> (
+          match Backend.describe e with
+          | None -> raise e
+          | Some _ ->
+            let failing_disk =
+              match e with
+              | Backend.Disk_failed err | Backend.Corrupt_block err ->
+                err.Backend.disk
+              | Backend.Retries_exhausted { disk; _ } -> disk
+              | _ -> -1
+            in
+            let on_failing_disk c =
+              let base = issued.(c) / r * r in
+              let rec has j =
+                j < r && (reps.(base + j) = failing_disk || has (j + 1))
+              in
+              has 0
+            in
+            let rec culprit c =
+              if c >= !nissued then 0 else if on_failing_disk c then c
+              else culprit (c + 1)
+            in
+            let p = snd wanted.(issued.(culprit 0) / r) in
+            raise (Engine.Request_failed { id = p.id; key = p.key; error = e }))
+      in
+      let delta = max 1 (Pdm.rounds_total m - before) in
+      t.round <- t.round + delta;
+      t.fetch_rounds <- t.fetch_rounds + delta;
+      for c = 0 to !nissued - 1 do
+        let d = reps.(issued.(c)) in
+        t.disk_load.(d) <- t.disk_load.(d) + 1
+      done;
+      List.iter
+        (fun (a, data) ->
+          t.blocks_fetched <- t.blocks_fetched + 1;
+          Addr_tbl.replace tbl a data;
+          match t.cache with
+          | Some c -> Cache.note_fetched c a data
+          | None -> ())
+        fetched;
+      npending := !ndeferred;
+      incr round
+    done
+
+  let run_batch t batch =
+    t.batches <- t.batches + 1;
+    let tbl = Addr_tbl.create 64 and seen = Addr_tbl.create 64 in
+    let inflight = List.map (fun p -> (p, ref (t.lookup p.key))) batch in
+    let rec pass inflight =
+      let still =
+        List.filter
+          (fun (p, str) ->
+            match settle tbl !str with
+            | Done v ->
+              complete t p v;
+              false
+            | st ->
+              str := st;
+              true)
+          inflight
+      in
+      if still <> [] then begin
+        Addr_tbl.clear seen;
+        let wanted = ref [] in
+        List.iter
+          (fun (p, str) ->
+            match !str with
+            | Done _ -> ()
+            | Fetch (addrs, _) ->
+              List.iter
+                (fun a ->
+                  if Addr_tbl.mem tbl a || Addr_tbl.mem seen a then
+                    t.coalesced <- t.coalesced + 1
+                  else
+                    let cached =
+                      match t.cache with
+                      | Some c -> Cache.find_cached c a
+                      | None -> None
+                    in
+                    match cached with
+                    | Some data ->
+                      Addr_tbl.replace tbl a data;
+                      t.cache_hits <- t.cache_hits + 1
+                    | None ->
+                      Addr_tbl.add seen a ();
+                      wanted := (a, p) :: !wanted)
+                addrs)
+          still;
+        if !wanted <> [] then fetch_all t tbl (Array.of_list (List.rev !wanted));
+        pass still
+      end
+    in
+    pass inflight
+
+  let take_batch t =
+    let rec go n acc =
+      if n = 0 || Queue.is_empty t.queue then List.rev acc
+      else go (n - 1) (Queue.pop t.queue :: acc)
+    in
+    go t.cfg.Engine.max_batch []
+
+  let due t =
+    Queue.length t.queue >= t.cfg.Engine.max_batch
+    || (not (Queue.is_empty t.queue))
+       && t.round - (Queue.peek t.queue).submitted >= t.cfg.Engine.deadline_rounds
+
+  let submit t key =
+    Queue.add { id = t.next_id; key; submitted = t.round } t.queue;
+    t.next_id <- t.next_id + 1;
+    while due t do
+      run_batch t (take_batch t)
+    done
+
+  let drain t =
+    while not (Queue.is_empty t.queue) do
+      run_batch t (take_batch t)
+    done
+
+  (* [Engine.run]'s contract over lookups of [keys]. *)
+  let run t keys =
+    let first = t.next_id in
+    let failure =
+      match
+        List.iter (submit t) keys;
+        drain t
+      with
+      | () -> None
+      | exception (Engine.Request_failed _ as e) -> Some e
+    in
+    let outcomes = t.outcomes in
+    t.outcomes <- [];
+    List.mapi
+      (fun i _ ->
+        match List.find_opt (fun (id, _, _, _) -> id = first + i) outcomes with
+        | Some o -> Ok o
+        | None -> (
+          match failure with
+          | Some e -> Error e
+          | None -> invalid_arg "Reference.run: a request went unanswered"))
+      keys
+end
+
+type diff_case = {
+  d_disks : int;
+  d_replicas : int;
+  d_spares : int;
+  d_blocks : int;
+  d_config : Engine.config;
+  d_warm : Pdm.addr list list list;  (* warm-up lookups' plans: steps *)
+  d_killed : int list;               (* killed after the warm-up *)
+  d_plans : Pdm.addr list list list; (* the measured lookups' plans *)
+}
+
+let diff_gen =
+  QCheck.Gen.(
+    let* disks = int_range 2 16 in
+    let* replicas = int_range 1 (min 3 disks) in
+    let* spares = int_range 0 1 in
+    let* blocks = int_range 1 4 in
+    let disk = frequency [ (3, int_bound (disks - 1)); (1, return 0) ] in
+    let addr =
+      map2 (fun d b -> { Pdm.disk = d; block = b }) disk (int_bound (blocks - 1))
+    in
+    let step = list_size (int_range 0 6) addr in
+    let part first =
+      map
+        (fun keep -> List.filteri (fun i _ -> List.nth keep i) first)
+        (list_repeat (List.length first) bool)
+    in
+    (* one step, none, or a second step whose addresses the first
+       fetched fully, partly or not at all *)
+    let plan =
+      let* first = step in
+      frequency
+        [ (4, return [ first ]);
+          (1, return []);
+          (1, map (fun s -> [ first; s ]) (part first));
+          (1, map2 (fun s extra -> [ first; s @ extra ]) (part first) step);
+          (1, map (fun s -> [ first; s ]) step) ]
+    in
+    let plans n = list_size (int_range 1 n) plan in
+    let* warm = plans 8 in
+    let* killed =
+      frequency
+        [ (2, return []); (3, list_size (int_range 1 2) (int_bound (disks - 1))) ]
+    in
+    let* plans = plans 24 in
+    let* max_batch = int_range 1 24 in
+    let* deadline_rounds = oneofl [ 0; 2; 1_000_000 ] in
+    let* cache_blocks = frequency [ (2, return 0); (1, int_range 1 8) ] in
+    return
+      { d_disks = disks; d_replicas = replicas; d_spares = spares;
+        d_blocks = blocks;
+        d_config = { Engine.max_batch; deadline_rounds; cache_blocks };
+        d_warm = warm; d_killed = killed; d_plans = plans })
+
+let diff_arb =
+  let addrs p =
+    String.concat " "
+      (List.map (fun (a : Pdm.addr) -> Printf.sprintf "%d.%d" a.disk a.block) p)
+  in
+  let plans ps =
+    String.concat " | "
+      (List.map (fun steps -> String.concat " ; " (List.map addrs steps)) ps)
+  in
+  QCheck.make diff_gen ~print:(fun c ->
+      Printf.sprintf
+        "disks %d replicas %d spares %d blocks %d batch %d deadline %d \
+         cache %d killed [%s]\nwarm-up: %s\nplans: %s"
+        c.d_disks c.d_replicas c.d_spares c.d_blocks c.d_config.Engine.max_batch
+        c.d_config.Engine.deadline_rounds c.d_config.Engine.cache_blocks
+        (String.concat ";" (List.map string_of_int c.d_killed))
+        (plans c.d_warm) (plans c.d_plans))
+
+(* The answer folds every step's blocks in plan order, so a block
+   handed to the wrong position changes it. *)
+let fold_block acc (block : int option array) =
+  ((acc * 31) + match block.(0) with Some v -> v | None -> -1) land 0xFFFFFF
+
+let answer acc = Some (Bytes.of_string (string_of_int acc))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"batch executor = list-based reference" ~count:300
+    diff_arb (fun c ->
+      let all = Array.of_list (c.d_warm @ c.d_plans) in
+      let machine () =
+        let m, _, _ =
+          synthetic ~replicas:c.d_replicas ~spares:c.d_spares ~disks:c.d_disks
+            ~blocks:c.d_blocks ~plan:(fun _ -> []) ()
+        in
+        let tr = Pdm_sim.Trace.create () in
+        Pdm.set_trace m (Some tr);
+        (m, tr)
+      in
+      let m, tr = machine () and rm, rtr = machine () in
+      let rec engine_steps acc = function
+        | [] -> Engine.Done (answer acc)
+        | s :: rest ->
+          Engine.Fetch
+            ( Array.of_list s,
+              fun bs -> engine_steps (Array.fold_left fold_block acc bs) rest )
+      in
+      let rec reference_steps acc = function
+        | [] -> Reference.Done (answer acc)
+        | s :: rest ->
+          Reference.Fetch
+            ( s,
+              fun bs ->
+                reference_steps
+                  (List.fold_left (fun acc (_, b) -> fold_block acc b) acc bs)
+                  rest )
+      in
+      let eng =
+        Engine.create ~config:c.d_config
+          { Engine.name = "diff"; machine = m;
+            lookup = (fun k -> engine_steps 0 all.(k)); insert = None;
+            delete = None }
+      in
+      let reference =
+        Reference.create c.d_config rm (fun k -> reference_steps 0 all.(k))
+      in
+      let failure_of = function
+        | Engine.Request_failed { id; key; error } ->
+          Error (id, key, Backend.describe error)
+        | e -> Error (-1, -1, Some (Printexc.to_string e))
+      in
+      let compare_run what lo n =
+        let keys = List.init n (fun i -> lo + i) in
+        let got =
+          List.map
+            (function
+              | Ok (o : Engine.outcome) ->
+                Ok (o.Engine.id, o.Engine.value, o.Engine.submitted,
+                    o.Engine.completed)
+              | Error e -> failure_of e)
+            (Engine.run eng (List.map (fun k -> Engine.Lookup k) keys))
+        in
+        let want =
+          List.map
+            (function Ok o -> Ok o | Error e -> failure_of e)
+            (Reference.run reference keys)
+        in
+        let differ field = QCheck.Test.fail_reportf "%s: %s differ" what field in
+        if got <> want then differ "outcomes";
+        if Engine.stats eng <> Reference.stats reference then differ "stats";
+        if Pdm_sim.Trace.events tr <> Pdm_sim.Trace.events rtr then
+          differ "trace events";
+        if Pdm.rounds_total m <> Pdm.rounds_total rm then differ "machine rounds"
+      in
+      let warm_n = List.length c.d_warm in
+      compare_run "warm-up" 0 warm_n;
+      List.iter (fun d -> Pdm.kill_disk m d; Pdm.kill_disk rm d) c.d_killed;
+      compare_run "batch" warm_n (List.length c.d_plans);
+      true)
+
+(* Beyond the reference: every answer is the plan's own, an empty plan
+   settles at once, and a plan that names an address twice gets the
+   block at both positions. *)
+let test_positional_answers () =
+  let a = { Pdm.disk = 1; block = 2 } and b = { Pdm.disk = 3; block = 0 } in
+  let plans = [| []; [ [] ]; [ [ a; b; a ] ]; [ [ b ]; [ a; b ] ]; [ [ b; a ]; [] ] |] in
+  let m, _, _ = synthetic ~plan:(fun _ -> []) () in
+  let rec steps acc = function
+    | [] -> Engine.Done (answer acc)
+    | s :: rest ->
+      Engine.Fetch
+        (Array.of_list s, fun bs -> steps (Array.fold_left fold_block acc bs) rest)
+  in
+  let eng =
+    Engine.create ~config:(one_batch_config 5)
+      { Engine.name = "positional"; machine = m;
+        lookup = (fun k -> steps 0 plans.(k)); insert = None; delete = None }
+  in
+  let expect k =
+    answer
+      (List.fold_left
+         (List.fold_left (fun acc (x : Pdm.addr) ->
+              fold_block acc (block_of m [ (100 * x.disk) + x.block ])))
+         0 plans.(k))
+  in
+  List.iteri
+    (fun k r ->
+      match r with
+      | Ok (o : Engine.outcome) ->
+        Alcotest.(check (option bytes)) (Printf.sprintf "plan %d" k) (expect k)
+          o.Engine.value
+      | Error e -> Alcotest.failf "plan %d: %s" k (Printexc.to_string e))
+    (Engine.run eng (List.init 5 (fun k -> Engine.Lookup k)));
+  let s = Engine.stats eng in
+  check "two distinct blocks fetched" 2 s.Engine.blocks_fetched;
+  check "repeats coalesced" 4 s.Engine.coalesced
+
 let suite =
   [ ("engine.coalescing",
      [ tc "all-same-key batch" `Quick test_all_same_key_coalesces;
@@ -741,6 +1216,8 @@ let suite =
     ("engine.replicas",
      [ tc "least-loaded splits a hot disk" `Quick test_replicas_split_hot_disk;
        QCheck_alcotest.to_alcotest prop_packing_matches_reference;
+       QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+       tc "block i answers address i" `Quick test_positional_answers;
        tc "killed disk: failover within 2x" `Quick
          test_killed_disk_failover_within_2x;
        tc "r=1 failure carries request id" `Quick
@@ -760,7 +1237,8 @@ let suite =
      [ tc "uses the requested replica" `Quick
          test_read_preferring_uses_requested_replica;
        tc "fails over and validates" `Quick test_read_preferring_fails_over;
-       tc "dedups" `Quick test_read_preferring_dedups;
+       tc "rejects a repeated address" `Quick
+         test_read_preferring_rejects_duplicates;
        tc "validates a duplicate's preference" `Quick
          test_read_preferring_validates_duplicates;
        tc "sanitizer: a written view is caught" `Quick

@@ -59,7 +59,7 @@ let test_tombstone_never_moves_data () =
           (fun s -> (a, s))
           (Pdm_dictionary.Codec.Slots.find_key block
              ~width:(Basic.record_width d) ~key:k))
-      (Basic.addresses d k)
+      (Array.to_list (Basic.addresses d k))
   in
   let survivors = Array.sub keys 0 50 in
   let before = Array.map placement survivors in

@@ -67,8 +67,8 @@ let test_fs_lookup_is_one_io () =
   let machine, fs = mk_store () in
   Stats.reset (Pdm.stats machine);
   let addrs = Field_store.addresses fs 1234 in
-  check "d addresses" 8 (List.length addrs);
-  let _ = Pdm.read machine addrs in
+  check "d addresses" 8 (Array.length addrs);
+  let _ = Pdm.read_views machine addrs in
   check "one parallel I/O" 1
     (Stats.parallel_ios (Stats.snapshot (Pdm.stats machine)))
 

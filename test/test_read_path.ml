@@ -354,11 +354,36 @@ let prop_read_path_matches_reference =
         (fun (prefer, l) ->
           let addrs = List.map (fun (d, b, _) -> { Pdm.disk = d; block = b }) l in
           let prefs = List.map2 (fun a (_, _, j) -> (a, j)) addrs l in
+          (* read_preferring rejects a repeated address before any I/O;
+             the distinct first preferences are then read as the
+             reference reads them *)
+          let distinct = dedup fst prefs in
+          if prefer && List.length distinct < List.length prefs then begin
+            let before = Pdm.rounds_total m in
+            match
+              Pdm.read_preferring m
+                (Array.of_list (List.map fst prefs))
+                (Array.of_list (List.map snd prefs))
+            with
+            | _ -> QCheck.Test.fail_report "a repeated address was read"
+            | exception Invalid_argument _ ->
+              if Pdm.rounds_total m <> before then
+                QCheck.Test.fail_report "a rejected request did I/O"
+          end;
+          let prefs = distinct in
           let attempt f = try Ok (f ()) with e -> Error (describe_exn e) in
           let before = Pdm.rounds_total m in
           let got =
             attempt (fun () ->
-                if prefer then Pdm.read_preferring m prefs else Pdm.read m addrs)
+                if prefer then begin
+                  let addrs = Array.of_list (List.map fst prefs) in
+                  let blocks =
+                    Pdm.read_preferring m addrs
+                      (Array.of_list (List.map snd prefs))
+                  in
+                  List.mapi (fun i a -> (a, blocks.(i))) (Array.to_list addrs)
+                end
+                else Pdm.read m addrs)
           in
           let got =
             observe ~rounds_before:before ~rounds_after:(Pdm.rounds_total m)
@@ -438,8 +463,8 @@ let test_write_stores_one_copy () =
   Pdm.write_one m a block;
   block.(0) <- Some 8;
   let served_by j =
-    match Pdm.read_preferring m [ (a, j) ] with
-    | [ (_, image) ] -> image
+    match Pdm.read_preferring m [| a |] [| j |] with
+    | [| image |] -> image
     | _ -> Alcotest.fail "one block expected"
   in
   let r0 = served_by 0 and r1 = served_by 1 in
@@ -472,9 +497,10 @@ let daemon_shard () =
   List.iter (fun k -> Opd.insert sh.Shard.dict k (Bytes.make 8 'x')) keys;
   (sh, keys)
 
-(* Budgets are the words measured when these reads stopped copying
-   blocks and the scheduler moved onto the machine's workspace, plus
-   10%; before, the first two took 1,846 and 344 words. *)
+(* Budgets are the words measured when probe plans became positional
+   (plans and answers in arrays, engine batches on slots), plus 10%.
+   With address lists, the read of 15 blocks took 381 words, read_one
+   104, Engine.run 29,540, probe_addresses 435 and find_in 292. *)
 let within_budget what ~measured words =
   let budget = measured * 11 / 10 in
   if words > budget then
@@ -484,18 +510,18 @@ let test_read_preferring_budget () =
   let sh, keys = daemon_shard () in
   let m = Opd.machine sh.Shard.dict in
   let addrs = Opd.probe_addresses sh.Shard.dict (List.nth keys 17) in
-  Alcotest.(check int) "one lookup's blocks" 15 (List.length addrs);
-  let prefs = List.map (fun a -> (a, 0)) addrs in
-  ignore (Pdm.read_preferring m prefs);
-  within_budget "read_preferring of 15 blocks" ~measured:381
-    (minor_words (fun () -> Pdm.read_preferring m prefs))
+  Alcotest.(check int) "one lookup's blocks" 15 (Array.length addrs);
+  let prefs = Array.make 15 0 in
+  ignore (Pdm.read_preferring m addrs prefs);
+  within_budget "read_preferring of 15 blocks" ~measured:230
+    (minor_words (fun () -> Pdm.read_preferring m addrs prefs))
 
 let test_read_one_budget () =
   let m : int Pdm.t = Pdm.create ~disks:15 ~block_size:32 ~blocks_per_disk:16 () in
   let a = { Pdm.disk = 1; block = 3 } in
   Pdm.write_one m a (Array.make 32 (Some 5));
   ignore (Pdm.read_one m a);
-  within_budget "read_one" ~measured:104 (minor_words (fun () -> Pdm.read_one m a))
+  within_budget "read_one" ~measured:79 (minor_words (fun () -> Pdm.read_one m a))
 
 let test_engine_run_budget () =
   let sh, keys = daemon_shard () in
@@ -503,8 +529,21 @@ let test_engine_run_budget () =
     List.filteri (fun i _ -> i < 16) keys |> List.map (fun k -> Engine.Lookup k)
   in
   ignore (Engine.run sh.Shard.engine lookups);
-  within_budget "Engine.run of 16 lookups" ~measured:29_700
+  within_budget "Engine.run of 16 lookups" ~measured:9_934
     (minor_words (fun () -> Engine.run sh.Shard.engine lookups))
+
+(* Planning and decoding one daemon lookup, outside the engine. *)
+let test_probe_plan_budget () =
+  let sh, keys = daemon_shard () in
+  let d = sh.Shard.dict in
+  let key = List.nth keys 17 in
+  let addrs = Opd.probe_addresses d key in
+  let blocks = Pdm.read_preferring (Opd.machine d) addrs (Array.make 15 0) in
+  Alcotest.(check bool) "the key is found" true (Opd.find_in d key blocks <> None);
+  within_budget "probe_addresses" ~measured:61
+    (minor_words (fun () -> Opd.probe_addresses d key));
+  within_budget "find_in" ~measured:126
+    (minor_words (fun () -> Opd.find_in d key blocks))
 
 let suite =
   [ ("pdm.read_path",
@@ -517,4 +556,6 @@ let suite =
      [ tc "read_preferring, one daemon lookup" `Quick
          test_read_preferring_budget;
        tc "read_one, unreplicated" `Quick test_read_one_budget;
-       tc "Engine.run, 16 daemon lookups" `Quick test_engine_run_budget ]) ]
+       tc "Engine.run, 16 daemon lookups" `Quick test_engine_run_budget;
+       tc "probe_addresses and find_in, one lookup" `Quick
+         test_probe_plan_budget ]) ]

@@ -238,6 +238,82 @@ let test_framing_oversized () =
    | `Frame p -> checkb "byte-at-a-time assembly" true (p = payload_of frame)
    | `Await | `Oversized _ -> Alcotest.fail "frame not assembled")
 
+(* --- 16-bit fields and framing cost ------------------------------ *)
+
+(* Counts, shards and disks travel in 16-bit fields: the encoder
+   rejects what would wrap onto another value, and the largest
+   representable value still roundtrips. *)
+let out_of_range what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: encoded" what
+  | exception Invalid_argument _ -> ()
+
+let test_encode_rejects_wide_shard () =
+  out_of_range "kill_disk shard"
+    (fun () ->
+      Wire.encode_request
+        { Wire.rid = 1; req = Wire.Kill_disk { shard = 65536; disk = 3 } });
+  out_of_range "scrub shard" (fun () ->
+      Wire.encode_request { Wire.rid = 1; req = Wire.Scrub { shard = 65537 } });
+  out_of_range "negative shard" (fun () ->
+      Wire.encode_request { Wire.rid = 1; req = Wire.Scrub { shard = -1 } });
+  let widest = { Wire.rid = 1; req = Wire.Kill_disk { shard = 0xffff; disk = 0xffff } } in
+  checkb "0xffff roundtrips" true
+    (Wire.decode_request (payload_of (Wire.encode_request widest)) = Ok widest)
+
+let test_encode_rejects_wide_disk () =
+  out_of_range "kill_disk disk" (fun () ->
+      Wire.encode_request
+        { Wire.rid = 1; req = Wire.Kill_disk { shard = 0; disk = 65536 } })
+
+let test_encode_rejects_wide_batch () =
+  out_of_range "batch of 65,536 ops" (fun () ->
+      Wire.encode_request
+        { Wire.rid = 1; req = Wire.Batch (List.init 65_536 (fun k -> Wire.Get k)) })
+
+let test_encode_rejects_wide_replies () =
+  out_of_range "65,536 results" (fun () ->
+      Wire.encode_reply
+        { Wire.rid = 1; rep = Wire.Results (List.init 65_536 (fun _ -> Wire.Absent)) });
+  out_of_range "stat of shard 65536" (fun () ->
+      Wire.encode_reply
+        { Wire.rid = 1;
+          rep =
+            Wire.Stats_reply
+              [ { Wire.shard = 65536; rounds = 0; served = 0; fetched = 0 } ] })
+
+(* Words allocated decoding [n] 18-byte Get frames delivered in one
+   feed: linear in [n], so ten times the frames cost about ten times
+   the words. *)
+let framing_words n =
+  let frames =
+    Bytes.concat Bytes.empty
+      (List.init n (fun k ->
+           Wire.encode_request { Wire.rid = k; req = Wire.Op (Wire.Get k) }))
+  in
+  let f = Wire.Framing.create () in
+  (* an empty minor heap: nothing older is promoted during the count *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  Wire.Framing.feed f frames (Bytes.length frames);
+  let rec drain got =
+    match Wire.Framing.next f with
+    | `Frame _ -> drain (got + 1)
+    | `Await -> got
+    | `Oversized _ -> Alcotest.fail "oversized"
+  in
+  let got = drain 0 in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  check "every frame decoded" n got;
+  check "nothing left" 0 (Wire.Framing.buffered f);
+  words
+
+let test_framing_linear () =
+  let small = framing_words 1_000 and large = framing_words 10_000 in
+  if large > 12.0 *. small then
+    Alcotest.failf "10,000 frames allocate %.0f words, 1,000 allocate %.0f"
+      large small
+
 (* --- live server helpers ----------------------------------------- *)
 
 let small_config ?(shards = 2) ?(domains = 1) ?(queue_cap = 1024) () =
@@ -603,7 +679,16 @@ let suite =
          tc "malformed payloads are structured errors" `Quick
            test_decoder_malformed;
          tc "framing: oversized and split delivery" `Quick
-           test_framing_oversized ]);
+           test_framing_oversized;
+         tc "encode: a shard above 0xffff is rejected" `Quick
+           test_encode_rejects_wide_shard;
+         tc "encode: a disk above 0xffff is rejected" `Quick
+           test_encode_rejects_wide_disk;
+         tc "encode: a batch above 0xffff ops is rejected" `Quick
+           test_encode_rejects_wide_batch;
+         tc "encode: reply counts above 0xffff are rejected" `Quick
+           test_encode_rejects_wide_replies;
+         tc "framing: allocation linear in frames" `Quick test_framing_linear ]);
     ("server.live",
      [ tc "malformed frames keep the connection" `Quick
          test_live_malformed_frames;
