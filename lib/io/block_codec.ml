@@ -11,12 +11,21 @@
 
    Absent cells still occupy their 8 bytes (zeroed) so every cell has
    a fixed offset; a never-written block is all zeros, which is
-   exactly what a freshly preallocated (ftruncated) file reads as. *)
+   exactly what a freshly preallocated (ftruncated) file reads as.
+
+   Every 8-byte word moves with one typed load or store. An OCaml int
+   has 63 bits, so a word's bit 63 is always stored as 0 and ignored
+   on load: the value lives in bits 0..62, in two's complement. *)
 
 type buf =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 external buf_addr : buf -> nativeint = "caml_pdm_io_buf_addr"
+
+(* Bounds-checked unaligned 8-byte access in host byte order. *)
+external get64 : buf -> int -> int64 = "%caml_bigstring_get64"
+external set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64"
+external swap64 : int64 -> int64 = "%bswap_int64"
 
 let sector = 512
 
@@ -32,7 +41,11 @@ let bytes_per_block ~slots =
   let raw = header_bytes + bitmap_bytes ~slots + (8 * slots) in
   (raw + sector - 1) / sector * sector
 
-let alloc len = Bigarray.Array1.create Bigarray.Char Bigarray.c_layout len
+(* [Array1.create] leaves the memory as malloc returned it. *)
+let alloc len =
+  let buf = Bigarray.Array1.create Bigarray.Char Bigarray.c_layout len in
+  Bigarray.Array1.fill buf '\000';
+  buf
 
 (* A buffer whose data pointer is [align]-aligned: over-allocate and
    carve the aligned slice. O_DIRECT rejects unaligned user buffers. *)
@@ -42,55 +55,48 @@ let aligned ?(align = sector) len =
   let shift = (align - (addr mod align)) mod align in
   Bigarray.Array1.sub raw shift len
 
-let get_word buf off =
-  let b i = Char.code (Bigarray.Array1.get buf (off + i)) in
-  b 0
-  lor (b 1 lsl 8)
-  lor (b 2 lsl 16)
-  lor (b 3 lsl 24)
-  lor (b 4 lsl 32)
-  lor (b 5 lsl 40)
-  lor (b 6 lsl 48)
-  lor (b 7 lsl 56)
+let get_word (buf : buf) off =
+  let w = get64 buf off in
+  Int64.to_int (if Sys.big_endian then swap64 w else w)
 
-let set_word buf off v =
-  for i = 0 to 7 do
-    Bigarray.Array1.set buf (off + i)
-      (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
-  done
+let set_word (buf : buf) off v =
+  let w = Int64.logand (Int64.of_int v) Int64.max_int in
+  set64 buf off (if Sys.big_endian then swap64 w else w)
 
 let written buf ~off = get_word buf off = magic
 
-let erase buf ~off ~slots =
-  Bigarray.Array1.fill
-    (Bigarray.Array1.sub buf off (bytes_per_block ~slots))
-    '\000'
+(* Images are whole sectors, so whole words. *)
+let erase (buf : buf) ~off ~slots =
+  for i = 0 to (bytes_per_block ~slots / 8) - 1 do
+    set64 buf (off + (8 * i)) 0L
+  done
 
-let encode buf ~off ~slots payload =
-  match payload with
+let encode_cells (buf : buf) ~off ~slots cells =
+  if Array.length cells <> slots then
+    invalid_arg "Block_codec.encode: payload has wrong slot count";
+  set_word buf off magic;
+  set_word buf (off + 8) slots;
+  let bmp = off + header_bytes in
+  let data = bmp + bitmap_bytes ~slots in
+  (* Each bitmap byte is stored once, after its eight cells. *)
+  let bits = ref 0 in
+  for i = 0 to slots - 1 do
+    (match cells.(i) with
+     | None -> set_word buf (data + (8 * i)) 0
+     | Some v ->
+       bits := !bits lor (1 lsl (i land 7));
+       set_word buf (data + (8 * i)) v);
+    if i land 7 = 7 || i = slots - 1 then begin
+      Bigarray.Array1.set buf (bmp + (i lsr 3)) (Char.unsafe_chr !bits);
+      bits := 0
+    end
+  done
+
+let encode buf ~off ~slots = function
   | None -> erase buf ~off ~slots
-  | Some cells ->
-    if Array.length cells <> slots then
-      invalid_arg "Block_codec.encode: payload has wrong slot count";
-    set_word buf off magic;
-    set_word buf (off + 8) slots;
-    let bmp = off + header_bytes in
-    let data = bmp + bitmap_bytes ~slots in
-    Bigarray.Array1.fill
-      (Bigarray.Array1.sub buf bmp (bitmap_bytes ~slots))
-      '\000';
-    for i = 0 to slots - 1 do
-      match cells.(i) with
-      | None -> set_word buf (data + (8 * i)) 0
-      | Some v ->
-        let bi = bmp + (i lsr 3) in
-        let bits = Char.code (Bigarray.Array1.get buf bi) in
-        Bigarray.Array1.set buf bi
-          (Char.unsafe_chr (bits lor (1 lsl (i land 7))));
-        set_word buf (data + (8 * i)) v
-    done
+  | Some cells -> encode_cells buf ~off ~slots cells
 
-let decode buf ~off ~slots =
+let decode (buf : buf) ~off ~slots =
   if not (written buf ~off) then None
   else begin
     let stored = get_word buf (off + 8) in

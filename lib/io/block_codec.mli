@@ -5,8 +5,12 @@
     (state magic + slot count), a presence bitmap, then one 8-byte
     two's-complement word per cell — rounded up to the 512-byte sector
     so every block is a legal O_DIRECT transfer unit. Encode and
-    decode work directly on a [Bigarray] slice: the only allocation on
-    a decode is the resulting payload array itself.
+    decode work directly on a [Bigarray] slice, one typed 8-byte load
+    or store per word (byte-swapped on a big-endian host, so the image
+    stays little-endian everywhere). An OCaml [int] has 63 bits: a
+    cell's word holds it in bits 0..62 and bit 63 is always stored as
+    0 and ignored on load. The only allocation on a decode is the
+    resulting payload; an encode allocates nothing.
 
     A never-written block is all zeros, which is exactly what a
     freshly preallocated (ftruncated) file reads as — so "absent" needs
@@ -38,7 +42,13 @@ val encode : buf -> off:int -> slots:int -> int option array option -> unit
 (** [encode buf ~off ~slots payload] writes the block image at byte
     offset [off]. [None] erases the block (all zeros — the absent
     state). Raises [Invalid_argument] when the payload length is not
-    [slots]. *)
+    [slots]. Bytes past the last cell, up to the sector, are left as
+    they are unless the block is erased. *)
+
+val encode_cells : buf -> off:int -> slots:int -> int option array -> unit
+(** [encode_cells buf ~off ~slots cells] is
+    [encode buf ~off ~slots (Some cells)] without the option box — the
+    backends' counted write path. *)
 
 val decode : buf -> off:int -> slots:int -> int option array option
 (** Read the block image at [off]: [None] when absent, otherwise a

@@ -29,14 +29,15 @@ let bit_set bm b v =
   Bytes.set bm i (Char.chr (if v then bits lor mask else bits land lnot mask))
 
 (* Reopening an existing file: the headers on disk are authoritative.
-   A fresh (just-preallocated) file is all zeros, so the same scan
-   yields an all-clear bitmap. *)
+   A file that was empty before it was opened is all zeros, so it is
+   not scanned: its bitmap starts all clear. *)
 let scan st =
-  for b = 0 to st.blocks - 1 do
-    Raw_file.pread st.file st.buf ~pos:0 ~len:Block_codec.sector
-      ~off:(b * st.bpb);
-    if Block_codec.written st.buf ~off:0 then bit_set st.written b true
-  done
+  if not (Raw_file.fresh st.file) then
+    for b = 0 to st.blocks - 1 do
+      Raw_file.pread st.file st.buf ~pos:0 ~len:Block_codec.sector
+        ~off:(b * st.bpb);
+      if Block_codec.written st.buf ~off:0 then bit_set st.written b true
+    done
 
 let load st b =
   if not (bit_get st.written b) then None
@@ -50,11 +51,20 @@ let load st b =
            (Raw_file.path st.file) b)
   end
 
+let flush st b =
+  Raw_file.pwrite st.file st.buf ~pos:0 ~len:st.bpb ~off:(b * st.bpb);
+  st.dirty <- true
+
+(* The counted write path: no payload box to build. *)
+let store_cells st b cells =
+  Block_codec.encode_cells st.buf ~off:0 ~slots:st.slots cells;
+  flush st b;
+  bit_set st.written b true
+
 let store st b payload =
   Block_codec.encode st.buf ~off:0 ~slots:st.slots payload;
-  Raw_file.pwrite st.file st.buf ~pos:0 ~len:st.bpb ~off:(b * st.bpb);
-  bit_set st.written b (payload <> None);
-  st.dirty <- true
+  flush st b;
+  bit_set st.written b (payload <> None)
 
 let file_name ~disk = Printf.sprintf "disk-%04d.pdm" disk
 
@@ -76,7 +86,7 @@ let create ~dir ~disk ~blocks ~slots ?(direct = false) () =
     blocks;
     read =
       (fun ~attempt:_ b -> Backend.Data (load st b));
-    write = (fun b cells -> store st b (Some cells));
+    write = (fun b cells -> store_cells st b cells);
     cost = 1;
     max_retries = 0;
     peek = (fun b -> load st b);

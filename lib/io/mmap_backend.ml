@@ -5,7 +5,8 @@
    payload array) and writes encode straight into it. The barrier is
    msync, making the durability contract identical to the file
    backend's fsync. Reopening scans the mapped headers exactly like
-   File_backend reopens its file. *)
+   File_backend reopens its file; a file that was empty before it was
+   opened is not scanned. *)
 
 module Backend = Pdm_sim.Backend
 
@@ -37,6 +38,11 @@ let load st b =
       failwith
         (Printf.sprintf "mmap backend: block %d marked written but absent" b)
 
+let store_cells st b cells =
+  Block_codec.encode_cells st.map ~off:(b * st.bpb) ~slots:st.slots cells;
+  bit_set st.written b true;
+  st.dirty <- true
+
 let store st b payload =
   Block_codec.encode st.map ~off:(b * st.bpb) ~slots:st.slots payload;
   bit_set st.written b (payload <> None);
@@ -50,6 +56,7 @@ let create ~dir ~disk ~blocks ~slots () =
   (* Raw_file preallocates (mapping past end-of-file would SIGBUS);
      the descriptor can close once the mapping exists. *)
   let file = Raw_file.openfile ~path ~size () in
+  let fresh = Raw_file.fresh file in
   let map =
     Bigarray.array1_of_genarray
       (Unix.map_file (Raw_file.fd file) Bigarray.Char Bigarray.c_layout true
@@ -60,14 +67,16 @@ let create ~dir ~disk ~blocks ~slots () =
     { map; bpb; slots; blocks;
       written = Bytes.make ((blocks + 7) / 8) '\000'; dirty = false }
   in
-  for b = 0 to blocks - 1 do
-    if Block_codec.written map ~off:(b * bpb) then bit_set st.written b true
-  done;
+  (* A file that was empty before it was opened has no headers. *)
+  if not fresh then
+    for b = 0 to blocks - 1 do
+      if Block_codec.written map ~off:(b * bpb) then bit_set st.written b true
+    done;
   { Backend.name = "mmap";
     disk;
     blocks;
     read = (fun ~attempt:_ b -> Backend.Data (load st b));
-    write = (fun b cells -> store st b (Some cells));
+    write = (fun b cells -> store_cells st b cells);
     cost = 1;
     max_retries = 0;
     peek = (fun b -> load st b);

@@ -1,6 +1,7 @@
 /* C stubs for the real-I/O backends: positional read/write on
-   Bigarray block buffers, the O_DIRECT toggle, buffer-address probing
-   for alignment, and msync for the mmap barrier.
+   Bigarray block buffers, the O_DIRECT toggle, a file's size on open,
+   buffer-address probing for alignment, and msync for the mmap
+   barrier.
 
    OCaml's Unix library has no pread/pwrite, and going through a seek
    + read pair would both race and force an intermediate Bytes copy;
@@ -11,6 +12,7 @@
 #include <fcntl.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -88,6 +90,16 @@ CAMLprim value caml_pdm_io_set_direct(value vfd, value von)
   (void)von;
   return Val_false;
 #endif
+}
+
+/* Size in bytes of an open file, read before it is preallocated:
+   a file that held nothing has no block headers to scan, and one
+   larger than requested must not be truncated. */
+CAMLprim value caml_pdm_io_file_size(value vfd)
+{
+  struct stat st;
+  if (fstat(Int_val(vfd), &st) < 0) uerror("fstat", Nothing);
+  return Val_long(st.st_size);
 }
 
 /* Address of a Bigarray's data, for carving sector-aligned slices

@@ -11,6 +11,7 @@ module Stats = Pdm_sim.Stats
 module Registry = Pdm_sim.Backend_registry
 module Codec = Pdm_io.Block_codec
 module Raw = Pdm_io.Raw_file
+module Backend = Pdm_sim.Backend
 module Store = Pdm_io.Store
 module Config = Pdm_simtest.Sim_config
 module Gen = Pdm_simtest.Sim_gen
@@ -58,6 +59,137 @@ let test_codec_geometry_mismatch () =
    | exception Failure _ -> ()
    | _ -> Alcotest.fail "slot-count mismatch must not decode")
 
+(* --- codec equivalence with the byte-at-a-time reference ------------ *)
+
+(* The codec as it was before its words became typed 8-byte loads and
+   stores: every byte through its own Bigarray access, bit 63 never
+   written (the top byte takes [v lsr 56], seven bits) and dropped on
+   read ([lsl 56] of the top byte overflows out of the int). *)
+module Ref_codec = struct
+  let magic = 0x00314b4c424d4450
+  let header_bytes = 16
+  let bitmap_bytes ~slots = (slots + 7) / 8
+
+  let get_word buf off =
+    let b i = Char.code (Bigarray.Array1.get buf (off + i)) in
+    b 0
+    lor (b 1 lsl 8)
+    lor (b 2 lsl 16)
+    lor (b 3 lsl 24)
+    lor (b 4 lsl 32)
+    lor (b 5 lsl 40)
+    lor (b 6 lsl 48)
+    lor (b 7 lsl 56)
+
+  let set_word buf off v =
+    for i = 0 to 7 do
+      Bigarray.Array1.set buf (off + i)
+        (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+    done
+
+  let written buf ~off = get_word buf off = magic
+
+  let erase buf ~off ~slots =
+    Bigarray.Array1.fill
+      (Bigarray.Array1.sub buf off (Codec.bytes_per_block ~slots))
+      '\000'
+
+  let encode buf ~off ~slots payload =
+    match payload with
+    | None -> erase buf ~off ~slots
+    | Some cells ->
+      set_word buf off magic;
+      set_word buf (off + 8) slots;
+      let bmp = off + header_bytes in
+      let data = bmp + bitmap_bytes ~slots in
+      Bigarray.Array1.fill
+        (Bigarray.Array1.sub buf bmp (bitmap_bytes ~slots))
+        '\000';
+      for i = 0 to slots - 1 do
+        match cells.(i) with
+        | None -> set_word buf (data + (8 * i)) 0
+        | Some v ->
+          let bi = bmp + (i lsr 3) in
+          let bits = Char.code (Bigarray.Array1.get buf bi) in
+          Bigarray.Array1.set buf bi
+            (Char.unsafe_chr (bits lor (1 lsl (i land 7))));
+          set_word buf (data + (8 * i)) v
+      done
+
+  let decode buf ~off ~slots =
+    if not (written buf ~off) then None
+    else begin
+      let bmp = off + header_bytes in
+      let data = bmp + bitmap_bytes ~slots in
+      let cells = Array.make slots None in
+      for i = 0 to slots - 1 do
+        let bits = Char.code (Bigarray.Array1.get buf (bmp + (i lsr 3))) in
+        if bits land (1 lsl (i land 7)) <> 0 then
+          cells.(i) <- Some (get_word buf (data + (8 * i)))
+      done;
+      Some cells
+    end
+end
+
+(* Slot counts 1-130 (bitmaps that are not whole words, images over
+   several sectors), the image at a non-zero block, cells drawn from
+   the edge values and random 63-bit ints, and a buffer that starts
+   out as the same garbage for both encoders. *)
+let prop_codec_matches_reference =
+  let cell =
+    QCheck.Gen.(
+      frequency
+        [ (2, return None); (1, return (Some 0)); (1, return (Some (-1)));
+          (1, return (Some min_int)); (1, return (Some max_int));
+          (4, map Option.some int) ])
+  in
+  QCheck.Test.make ~name:"Block_codec = byte-at-a-time reference"
+    ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (slots, blk, fill, payload) ->
+          Printf.sprintf "slots %d block %d fill %d payload %s" slots blk fill
+            (match payload with
+             | None -> "erased"
+             | Some cells ->
+               String.concat ";"
+                 (Array.to_list
+                    (Array.map
+                       (function None -> "-" | Some v -> string_of_int v)
+                       cells))))
+        Gen.(
+          let* slots = int_range 1 130 in
+          let* blk = int_range 1 3 in
+          let* fill = int_bound 255 in
+          let* payload =
+            frequency
+              [ (1, return None);
+                (9, map Option.some (array_size (return slots) cell)) ]
+          in
+          return (slots, blk, fill, payload)))
+    (fun (slots, blk, fill, payload) ->
+      let bpb = Codec.bytes_per_block ~slots in
+      let off = blk * bpb in
+      let garbage () =
+        let buf = Codec.alloc ((blk + 2) * bpb) in
+        for i = 0 to Bigarray.Array1.dim buf - 1 do
+          Bigarray.Array1.set buf i (Char.unsafe_chr ((fill + (i * 131)) land 0xff))
+        done;
+        buf
+      in
+      let mine = garbage () and theirs = garbage () in
+      Codec.encode mine ~off ~slots payload;
+      Ref_codec.encode theirs ~off ~slots payload;
+      let same_bytes = ref true in
+      for i = 0 to Bigarray.Array1.dim mine - 1 do
+        if Bigarray.Array1.get mine i <> Bigarray.Array1.get theirs i then
+          same_bytes := false
+      done;
+      !same_bytes
+      && Codec.decode theirs ~off ~slots = payload
+      && Ref_codec.decode mine ~off ~slots = payload
+      && Codec.written mine ~off = Ref_codec.written theirs ~off)
+
 (* --- raw file + O_DIRECT fallback --------------------------------- *)
 
 let test_raw_file_direct_fallback () =
@@ -89,6 +221,62 @@ let test_raw_file_direct_fallback () =
            if Bigarray.Array1.get back i <> '\000' then ok := false
          done;
          !ok);
+      Raw.close f)
+
+(* A disk file is never shrunk: reopening it at a smaller geometry
+   used to truncate it silently, and the blocks past the new end were
+   gone when it was reopened at the old size. *)
+let test_reopen_smaller_refuses () =
+  Store.with_dir (fun dir ->
+      let slots = 4 in
+      let bpb = Codec.bytes_per_block ~slots in
+      let blk = [| Some 1; None; Some (-3); Some max_int |] in
+      let file = Pdm_io.File_backend.file_name ~disk:0 in
+      let open_disk kind ~blocks =
+        match Store.factory (Store.spec ~dir kind) ~blocks ~slots with
+        | Some make -> make 0
+        | None -> Alcotest.fail "no disk for a real-I/O kind"
+      in
+      let contains msg part =
+        let n = String.length part in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = part || at (i + 1))
+        in
+        at 0
+      in
+      List.iter
+        (fun kind ->
+          let name = Store.kind_to_string kind in
+          let d = open_disk kind ~blocks:100 in
+          d.Backend.write 90 blk;
+          d.Backend.barrier ();
+          (match open_disk kind ~blocks:50 with
+           | exception Failure msg ->
+             List.iter
+               (fun part ->
+                 checkb (name ^ ": the error names " ^ part) true
+                   (contains msg part))
+               [ file; string_of_int (100 * bpb);
+                 string_of_int (50 * bpb) ]
+           | _ -> Alcotest.failf "%s: reopening at 50 blocks must fail" name);
+          let d = open_disk kind ~blocks:100 in
+          checkb (name ^ ": block 90 still exists") true (d.Backend.exists 90);
+          checkb (name ^ ": block 90 reads back") true
+            (d.Backend.peek 90 = Some blk);
+          Sys.remove (Filename.concat dir file))
+        [ Store.File; Store.Mmap ];
+      (* only a file that held nothing is fresh; growing one keeps its
+         blocks and scans them *)
+      let path = Filename.concat dir "probe.pdm" in
+      let f = Raw.openfile ~path ~size:0 () in
+      checkb "a new file is fresh" true (Raw.fresh f);
+      Raw.close f;
+      let f = Raw.openfile ~path ~size:bpb () in
+      checkb "an empty file is fresh" true (Raw.fresh f);
+      Raw.close f;
+      let f = Raw.openfile ~path ~size:(2 * bpb) () in
+      checkb "a non-empty file is not fresh" false (Raw.fresh f);
+      check "it grew to the requested size" (2 * bpb) (Raw.size f);
       Raw.close f)
 
 (* --- machines over real backends ---------------------------------- *)
@@ -397,8 +585,11 @@ let suite =
           test_codec_absent_is_zeros;
         Alcotest.test_case "codec: geometry mismatch fails" `Quick
           test_codec_geometry_mismatch;
+        QCheck_alcotest.to_alcotest prop_codec_matches_reference;
         Alcotest.test_case "raw file + O_DIRECT fallback" `Quick
           test_raw_file_direct_fallback;
+        Alcotest.test_case "reopening smaller refuses to shrink" `Quick
+          test_reopen_smaller_refuses;
         Alcotest.test_case "file machine: basic ops" `Quick
           test_file_machine_basic_ops;
         Alcotest.test_case "file machine: reopen" `Quick

@@ -1,7 +1,8 @@
 (* The counted read path below the engine: the scheduler, replica
    failover and zero-copy answers, held to the earlier list- and
    Queue-based implementation they replaced, plus allocation budgets
-   for the requests the daemon serves. *)
+   for the requests the daemon serves and for one file-backed block
+   transfer. *)
 
 open Pdm_sim
 module Checksum = Pdm_dictionary.Codec.Checksum
@@ -545,6 +546,31 @@ let test_probe_plan_budget () =
   within_budget "find_in" ~measured:126
     (minor_words (fun () -> Opd.find_in d key blocks))
 
+(* One file-backed transfer of a full 32-slot block (the daemon's block
+   size). A read allocates the payload the Backend contract requires —
+   the array, its 32 [Some] cells and the [Some] around it, 99 words —
+   and its [Data] box; a write allocates nothing. Encoded byte at a
+   time, through a closure per pread/pwrite, they took 279 and 17
+   words. *)
+let with_file_disk f =
+  Pdm_io.Store.with_dir (fun dir ->
+      let be = Pdm_io.File_backend.create ~dir ~disk:0 ~blocks:4 ~slots:32 () in
+      let cells = Array.init 32 (fun i -> Some ((i * 7919) - 100_000)) in
+      be.Backend.write 1 cells;
+      Alcotest.(check bool) "the block reads back" true
+        (be.Backend.read ~attempt:0 1 = Backend.Data (Some cells));
+      f be cells)
+
+let test_file_read_budget () =
+  with_file_disk (fun be _ ->
+      within_budget "File_backend read of a full block" ~measured:101
+        (minor_words (fun () -> be.Backend.read ~attempt:0 1)))
+
+let test_file_write_budget () =
+  with_file_disk (fun be cells ->
+      within_budget "File_backend write of a full block" ~measured:0
+        (minor_words (fun () -> be.Backend.write 2 cells)))
+
 let suite =
   [ ("pdm.read_path",
      [ QCheck_alcotest.to_alcotest prop_read_path_matches_reference;
@@ -558,4 +584,7 @@ let suite =
        tc "read_one, unreplicated" `Quick test_read_one_budget;
        tc "Engine.run, 16 daemon lookups" `Quick test_engine_run_budget;
        tc "probe_addresses and find_in, one lookup" `Quick
-         test_probe_plan_budget ]) ]
+         test_probe_plan_budget;
+       tc "File_backend read, one full block" `Quick test_file_read_budget;
+       tc "File_backend write, one full block" `Quick test_file_write_budget
+     ]) ]
