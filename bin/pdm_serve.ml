@@ -1,8 +1,8 @@
 (* pdm-serve: the multicore TCP daemon over the deterministic data
    plane (DESIGN.md §15). All socket work lives in Pdm_server; this
-   binary only parses flags, prints the bound port and wires SIGTERM/
-   SIGINT to the graceful stop (drain every admitted frame, join the
-   worker domains, exit 0). *)
+   binary only parses flags, reads PDM_SANITIZE, prints the bound port
+   and wires SIGTERM/SIGINT to the graceful stop (drain every admitted
+   frame, join the worker domains, exit 0). *)
 
 module Server = Pdm_server.Server
 module Data_plane = Pdm_server.Data_plane
@@ -14,6 +14,12 @@ let run_serve port shards domains capacity replicas spares seed batch
   if shards < 1 then `Error (false, "--shards must be >= 1")
   else if domains < 1 then `Error (false, "--domains must be >= 1")
   else begin
+    (* PDM_SANITIZE=1 runs every shard machine under the runtime
+       sanitizer; it is set before any worker domain starts, and a
+       violation answers the request it surfaced in as Unavailable. *)
+    (match Sys.getenv_opt "PDM_SANITIZE" with
+     | Some ("1" | "true" | "yes") -> Pdm_sim.Pdm.set_sanitize true
+     | _ -> ());
     let plane =
       { Data_plane.default_config with
         Data_plane.shards;

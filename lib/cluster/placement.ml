@@ -48,7 +48,17 @@ let replicas topo ~seed ~r key =
   pass (fun _ -> true);
   List.rev_map (fun (s : Topology.shard) -> s.id) !chosen
 
+(* The head of the ranking in one pass: the highest score, the lower
+   id on a tie. *)
 let primary topo ~seed key =
-  match replicas topo ~seed ~r:1 key with
-  | p :: _ -> p
+  let rec best (b : Topology.shard) bscore = function
+    | [] -> b.id
+    | (s : Topology.shard) :: rest ->
+      let score = score ~seed ~key s in
+      if score > bscore || (score = bscore && s.id < b.id) then
+        best s score rest
+      else best b bscore rest
+  in
+  match Topology.shards topo with
+  | s :: rest -> best s (score ~seed ~key s) rest
   | [] -> invalid_arg "Placement.primary: empty topology"

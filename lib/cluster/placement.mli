@@ -39,4 +39,5 @@ val replicas : Topology.t -> seed:int -> r:int -> int -> int list
     [r] must be >= 1. *)
 
 val primary : Topology.t -> seed:int -> int -> int
-(** Head of {!replicas}. *)
+(** Head of {!replicas} and of {!rank}: the highest {!score}, the
+    smaller id on a tie, found in one pass over the shards. *)

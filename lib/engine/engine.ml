@@ -4,8 +4,6 @@ module Backend = Pdm_sim.Backend
 
 type addr = Pdm.addr
 
-module Addr_tbl = Pdm.Addr_tbl
-
 type blocks = int option array array
 
 type step =
@@ -76,21 +74,27 @@ type t = {
   mutable round : int;
   mutable outcomes : outcome list; (* completion order, reversed *)
   disk_load : int array;           (* cumulative fetches per physical disk *)
-  used : int array;                (* per physical disk: the last round stamp it served *)
-  mutable stamp : int;             (* fetch rounds packed so far *)
+  used : int array;                (* per physical disk: the last stamp that took it *)
+  mutable stamp : int;             (* fetch rounds packed plus fetches begun *)
   (* The running batch's distinct addresses, each mapped to a slot
-     once, in first-seen order; then everything works on slots. These
+     once, in first-seen order; then everything works on slots. The
+     slot index is keyed by logical block number: block [n] has slot
+     [slot_at.(n)] while [slot_batch.(n)] holds the running batch's id,
+     so ending a batch bumps the id and clears nothing. The slot arrays
      and fetch_all's working arrays are kept and grown on demand:
      allocated per batch, a large batch's would land on the major heap
      each time. *)
-  slot_of : int Addr_tbl.t;
+  slot_at : int array;
+  slot_batch : int array;
+  mutable batch_id : int;
   mutable nslots : int;
   mutable addr_of : addr array;    (* slot -> address *)
   mutable images : blocks;         (* slot -> fetched image, [unfetched] before *)
   mutable owner : int array;       (* slot -> flight that first wanted it *)
   mutable reps : int array;        (* replica j of slot s: [s * r + j] *)
   mutable pending_blocks : int array;  (* slots *)
-  mutable issued : int array;      (* [reps] index of each issued block *)
+  mutable issued_slot : int array; (* per issued block of a round: its slot *)
+  mutable issued_rep : int array;  (* … and the replica it is read from *)
   (* counters *)
   mutable served : int;
   mutable batches : int;
@@ -113,13 +117,17 @@ let create ?(config = default_config) dict =
       Some (Cache.create dict.machine ~capacity_blocks:config.cache_blocks)
     else None
   in
+  let m = dict.machine in
+  let blocks = Pdm.disks m * Pdm.blocks_per_disk m in
   {
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
-    disk_load = Array.make (Pdm.physical_disks dict.machine) 0;
-    used = Array.make (Pdm.physical_disks dict.machine) 0; stamp = 0;
-    slot_of = Addr_tbl.create 64; nslots = 0; addr_of = [||]; images = [||];
-    owner = [||]; reps = [||]; pending_blocks = [||]; issued = [||];
+    disk_load = Array.make (Pdm.physical_disks m) 0;
+    used = Array.make (Pdm.physical_disks m) 0; stamp = 0;
+    slot_at = Array.make blocks 0; slot_batch = Array.make blocks 0;
+    batch_id = 1; nslots = 0; addr_of = [||]; images = [||];
+    owner = [||]; reps = [||]; pending_blocks = [||]; issued_slot = [||];
+    issued_rep = [||];
     served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
     executor_rounds = 0; blocks_fetched = 0; coalesced = 0; cache_hits = 0;
     total_latency = 0; max_latency = 0;
@@ -218,17 +226,25 @@ let grow a len fill =
     b
   end
 
+(* The slot of logical block [n] in the running batch, -1 if none. *)
+let slot t n = if t.slot_batch.(n) = t.batch_id then t.slot_at.(n) else -1
+
 (* The slots of an unplanned step's addresses, if every one has been
    fetched in this batch. *)
 let fetched_slots t addrs =
-  let fetched a =
-    match Addr_tbl.find t.slot_of a with
-    | s -> t.images.(s) != unfetched
-    | exception Not_found -> false
-  in
-  if Array.for_all fetched addrs then
-    Some (Array.map (Addr_tbl.find t.slot_of) addrs)
-  else None
+  let m = t.dict.machine in
+  let n = Array.length addrs in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let s = slot t (Pdm.block_number m addrs.(!i)) in
+    s >= 0 && t.images.(s) != unfetched
+  do
+    incr i
+  done;
+  if !i < n then None
+  else Some (Array.map (fun a -> slot t (Pdm.block_number m a)) addrs)
 
 (* Advance a lookup as far as the fetched blocks allow: a planned step
    reads its slots, an unplanned one (a continuation's next step)
@@ -244,42 +260,63 @@ let rec settle t f =
     | None -> ()
     | Some slots ->
       f.slots <- [||];
-      f.step <- k (Array.map (fun s -> t.images.(s)) slots);
+      let n = Array.length slots in
+      let blocks = Array.make n unfetched in
+      for i = 0 to n - 1 do
+        blocks.(i) <- t.images.(slots.(i))
+      done;
+      f.step <- k blocks;
       settle t f)
 
-(* Plan the [x]-th flight's step: hash each address once into its slot.
-   Every repeat of an address that already has a slot is one coalesced
-   fetch; a new slot the cache holds is filled at once, as a cache hit. *)
-(* pdm-lint: domain local — the flight's slots, the batch's slot arrays and the engine's counters, owned by the running batch *)
+(* Give logical block [n] at address [a] the batch's next slot, owned
+   by the [x]-th flight; a new slot the cache holds is filled at once,
+   as a cache hit. *)
+(* pdm-lint: domain local — the batch's slot arrays and the engine's counters, owned by the running batch *)
+let new_slot t x a n =
+  let s = t.nslots in
+  t.nslots <- s + 1;
+  if s >= Array.length t.addr_of then begin
+    t.addr_of <- grow t.addr_of (s + 1) a;
+    t.images <- grow t.images (s + 1) unfetched;
+    t.owner <- grow t.owner (s + 1) 0
+  end;
+  t.slot_at.(n) <- s;
+  t.slot_batch.(n) <- t.batch_id;
+  t.addr_of.(s) <- a;
+  t.owner.(s) <- x;
+  t.images.(s) <-
+    (match t.cache with
+     | None -> unfetched
+     | Some c -> (
+       match Cache.find_cached c a with
+       | Some data ->
+         t.cache_hits <- t.cache_hits + 1;
+         data
+       | None -> unfetched));
+  s
+
+(* Plan the [x]-th flight's step: look each address up once in the
+   slot index, range-checking it. Every repeat of an address that
+   already has a slot is one coalesced fetch. *)
+(* pdm-lint: domain local — the flight's slots and the engine's counters, owned by the running batch *)
 let plan t x f =
-  let slot a =
-    match Addr_tbl.find t.slot_of a with
-    | s ->
-      t.coalesced <- t.coalesced + 1;
-      s
-    | exception Not_found ->
-      let s = t.nslots in
-      t.nslots <- s + 1;
-      t.addr_of <- grow t.addr_of (s + 1) a;
-      t.images <- grow t.images (s + 1) unfetched;
-      t.owner <- grow t.owner (s + 1) 0;
-      Addr_tbl.add t.slot_of a s;
-      t.addr_of.(s) <- a;
-      t.owner.(s) <- x;
-      t.images.(s) <-
-        (match t.cache with
-         | None -> unfetched
-         | Some c -> (
-           match Cache.find_cached c a with
-           | Some data ->
-             t.cache_hits <- t.cache_hits + 1;
-             data
-           | None -> unfetched));
-      s
-  in
   match f.step with
   | Done _ -> ()
-  | Fetch (addrs, _) -> f.slots <- Array.map slot addrs
+  | Fetch (addrs, _) ->
+    let m = t.dict.machine in
+    let slots = Array.make (Array.length addrs) 0 in
+    for i = 0 to Array.length addrs - 1 do
+      let a = addrs.(i) in
+      let n = Pdm.block_number m a in
+      let s = slot t n in
+      slots.(i) <-
+        (if s >= 0 then begin
+           t.coalesced <- t.coalesced + 1;
+           s
+         end
+         else new_slot t x a n)
+    done;
+    f.slots <- slots
 
 (* The executor: pack the slots from [first] on that the cache did not
    fill (distinct blocks, each with the oldest flight waiting on it)
@@ -293,64 +330,98 @@ let plan t x f =
    oldest issued request with a block on the failing disk (else the
    round's first). Replica disks are resolved once per fetch, since
    placement moves only in scrub; health is re-read every round, since
-   a read that meets a dead disk marks it down. *)
+   a read that meets a dead disk marks it down.
+
+   A round closes once it has taken every disk the fetch's blocks can
+   use: each block it has not reached then finds all its replica disks
+   taken and would wait, so they carry over in order without a look.
+   A down disk is never taken, so a fetch with a down candidate disk
+   walks every block, and a block without a healthy replica is still
+   issued in the round that reaches it. *)
 (* pdm-lint: domain local — round counters, working arrays and the batch's slot images owned by the engine's single domain *)
 let fetch_all t flights ~first =
   let m = t.dict.machine in
   let r = Pdm.replicas m in
   t.reps <- grow t.reps (t.nslots * r) 0;
   t.pending_blocks <- grow t.pending_blocks t.nslots 0;
-  t.issued <- grow t.issued t.nslots 0;
-  let reps = t.reps and pending = t.pending_blocks and issued = t.issued in
+  t.issued_slot <- grow t.issued_slot t.nslots 0;
+  t.issued_rep <- grow t.issued_rep t.nslots 0;
+  let reps = t.reps and pending = t.pending_blocks in
+  let issued_slot = t.issued_slot and issued_rep = t.issued_rep in
   let used = t.used in
-  let npending = ref 0 in
+  (* the candidate disks, stamped once and counted *)
+  t.stamp <- t.stamp + 1;
+  let seen = t.stamp in
+  let candidates = ref 0 and npending = ref 0 in
   for i = first to t.nslots - 1 do
     if t.images.(i) == unfetched then begin
       for j = 0 to r - 1 do
-        reps.((i * r) + j) <- Pdm.replica_disk m t.addr_of.(i) j
+        let d = Pdm.replica_disk m t.addr_of.(i) j in
+        reps.((i * r) + j) <- d;
+        if used.(d) <> seen then begin
+          used.(d) <- seen;
+          incr candidates
+        end
       done;
       pending.(!npending) <- i;
       incr npending
     end
   done;
+  let candidates = !candidates in
   while !npending > 0 do
     t.stamp <- t.stamp + 1;
     let stamp = t.stamp in
-    let nissued = ref 0 and ndeferred = ref 0 in
-    for x = 0 to !npending - 1 do
-      let i = pending.(x) in
-      let best = ref (-1) and healthy = ref false in
-      for s = i * r to (i * r) + r - 1 do
-        let d = reps.(s) in
-        if not (Pdm.disk_down m d) then begin
-          healthy := true;
-          if
-            used.(d) <> stamp
-            && (!best < 0 || t.disk_load.(d) < t.disk_load.(reps.(!best)))
-          then best := s
-        end
-      done;
-      if not !healthy then begin
-        issued.(!nissued) <- i * r;
-        incr nissued
-      end
-      else if !best < 0 then begin
-        (* [ndeferred <= x]: the pending prefix is rewritten in place *)
-        pending.(!ndeferred) <- i;
-        incr ndeferred
+    let nissued = ref 0 and ndeferred = ref 0 and taken = ref 0 in
+    let x = ref 0 in
+    while !x < !npending do
+      if !taken = candidates then begin
+        let rest = !npending - !x in
+        Array.blit pending !x pending !ndeferred rest;
+        ndeferred := !ndeferred + rest;
+        x := !npending
       end
       else begin
-        used.(reps.(!best)) <- stamp;
-        issued.(!nissued) <- !best;
-        incr nissued
+        let i = pending.(!x) in
+        let base = i * r in
+        let best = ref (-1) and healthy = ref false in
+        for j = 0 to r - 1 do
+          let d = reps.(base + j) in
+          if not (Pdm.disk_down m d) then begin
+            healthy := true;
+            if
+              used.(d) <> stamp
+              && (!best < 0
+                  || t.disk_load.(d) < t.disk_load.(reps.(base + !best)))
+            then best := j
+          end
+        done;
+        if not !healthy then begin
+          issued_slot.(!nissued) <- i;
+          issued_rep.(!nissued) <- 0;
+          incr nissued
+        end
+        else if !best < 0 then begin
+          (* [ndeferred <= x]: the pending prefix is rewritten in place *)
+          pending.(!ndeferred) <- i;
+          incr ndeferred
+        end
+        else begin
+          used.(reps.(base + !best)) <- stamp;
+          incr taken;
+          issued_slot.(!nissued) <- i;
+          issued_rep.(!nissued) <- !best;
+          incr nissued
+        end;
+        incr x
       end
     done;
+    let nissued = !nissued in
     (* every round issues its first pending block *)
-    let addrs = Array.make !nissued t.addr_of.(issued.(0) / r) in
-    let prefs = Array.make !nissued 0 in
-    for c = 0 to !nissued - 1 do
-      addrs.(c) <- t.addr_of.(issued.(c) / r);
-      prefs.(c) <- issued.(c) mod r
+    let addrs = Array.make nissued t.addr_of.(issued_slot.(0)) in
+    let prefs = Array.make nissued 0 in
+    for c = 0 to nissued - 1 do
+      addrs.(c) <- t.addr_of.(issued_slot.(c));
+      prefs.(c) <- issued_rep.(c)
     done;
     let before = Pdm.rounds_total m in
     let fetched =
@@ -367,17 +438,17 @@ let fetch_all t flights ~first =
             | _ -> -1
           in
           let on_failing_disk c =
-            let base = issued.(c) / r * r in
+            let base = issued_slot.(c) * r in
             let rec has j =
               j < r && (reps.(base + j) = failing_disk || has (j + 1))
             in
             has 0
           in
           let rec culprit c =
-            if c >= !nissued then 0 else if on_failing_disk c then c
+            if c >= nissued then 0 else if on_failing_disk c then c
             else culprit (c + 1)
           in
-          let p = flights.(t.owner.(issued.(culprit 0) / r)).p in
+          let p = flights.(t.owner.(issued_slot.(culprit 0))).p in
           raise
             (Request_failed
                { id = p.id; key = request_key p.request; error = e }))
@@ -386,11 +457,12 @@ let fetch_all t flights ~first =
     t.round <- t.round + delta;
     t.fetch_rounds <- t.fetch_rounds + delta;
     t.executor_rounds <- t.executor_rounds + 1;
-    for c = 0 to !nissued - 1 do
-      let d = reps.(issued.(c)) in
+    for c = 0 to nissued - 1 do
+      let s = issued_slot.(c) in
+      let d = reps.((s * r) + issued_rep.(c)) in
       t.disk_load.(d) <- t.disk_load.(d) + 1;
       t.blocks_fetched <- t.blocks_fetched + 1;
-      t.images.(issued.(c) / r) <- fetched.(c);
+      t.images.(s) <- fetched.(c);
       match t.cache with
       | Some ch -> Cache.note_fetched ch addrs.(c) fetched.(c)
       | None -> ()
@@ -421,7 +493,7 @@ let run_batch t batch =
   (* the batch's slots go with it, and its images with them *)
   Fun.protect
     ~finally:(fun () ->
-      Addr_tbl.clear t.slot_of;
+      t.batch_id <- t.batch_id + 1;
       Array.fill t.images 0 t.nslots unfetched;
       t.nslots <- 0)
     (fun () ->

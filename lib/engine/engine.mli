@@ -9,7 +9,8 @@
     system: simulated clients submit lookup/insert requests into an
     admission queue; a batcher closes batches by size or round
     deadline; a planner maps each request's probe blocks to batch
-    slots — one per distinct address, hashed once — which
+    slots — one per distinct address, looked up once in an index by
+    logical block number — which
     {e coalesces duplicate fetches} across the batch, consults an
     optional {!Pdm_sim.Cache}, and assigns every remaining fetch to
     the least-loaded healthy replica disk; a round executor then packs

@@ -24,8 +24,12 @@ type workspace = {
   per_disk : int array;  (* blocks moved per disk this round, untraced *)
   mutable next : int array;  (* per transfer: the one queued behind it *)
   mutable attempts : int array;  (* per transfer: failed attempts *)
-  last : int array;  (* per disk: latest position of a read_preferring request on it *)
+  last : int array;  (* per disk: latest position of a request's address on it *)
   mutable chain : int array;  (* per position: the previous one on its disk, -1 = none *)
+  (* read_candidates, per logical block of the request *)
+  mutable remaining : int array;  (* replicas not tried yet, one bit each *)
+  mutable pending : int array;  (* this pass's blocks *)
+  mutable failed : int array;  (* the blocks that failed it, in failure order *)
 }
 
 type 'a t = {
@@ -63,7 +67,10 @@ let workspace channels =
     next = [||];
     attempts = [||];
     last = Array.make channels (-1);
-    chain = [||] }
+    chain = [||];
+    remaining = [||];
+    pending = [||];
+    failed = [||] }
 
 let physical_disks_of ~disks ~spares = disks + spares
 let physical_blocks_of ~replicas ~blocks_per_disk = replicas * blocks_per_disk
@@ -209,6 +216,10 @@ let replica_addr t a ~replica =
   if replica < 0 || replica >= t.replicas then
     invalid_arg "Pdm.replica_addr: replica out of range";
   phys t a replica
+
+let block_number t a =
+  check_addr t a;
+  (a.disk * t.blocks_per_disk) + a.block
 
 let equal_addr (a : addr) (b : addr) = a.disk = b.disk && a.block = b.block
 
@@ -472,17 +483,26 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
 (* A request that starts while another runs on this machine (a
    backend or callback re-entering it) takes a fresh workspace. *)
 (* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
-let schedule t ~op ~paddrs ~perform ~on_fail =
+let acquire t =
   let ws = if t.ws.busy then workspace (Array.length t.ws.cur) else t.ws in
   ws.busy <- true;
+  ws
+
+(* Free [ws] after [e] escaped a request on it, and re-raise [e]. *)
+(* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
+let release ws e =
+  let bt = Printexc.get_raw_backtrace () in
+  ws.busy <- false;
+  Printexc.raise_with_backtrace e bt
+
+(* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
+let schedule t ~op ~paddrs ~perform ~on_fail =
+  let ws = acquire t in
   match schedule_on t ws ~op ~paddrs ~perform ~on_fail with
   | rounds ->
     ws.busy <- false;
     rounds
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ws.busy <- false;
-    Printexc.raise_with_backtrace e bt
+  | exception e -> release ws e
 
 (* One read attempt at a physical address, as a scheduler transfer:
    [`Done] once [deliver k] has the payload — [None] for a
@@ -581,14 +601,25 @@ let choose t a ~pref mask =
    terminal failure escape as a structured exception. With [copy] each
    answer is a fresh array; without it, the stored image itself (and
    the machine's one [empty] block for a never-written address).
-   Answer [i] is block [addrs.(i)]'s. *)
-(* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let read_candidates t ~copy addrs prefs =
+   Answer [i] is block [addrs.(i)]'s; the answer array is the only one
+   the bookkeeping allocates, the rest lives in the workspace [ws]. *)
+(* pdm-lint: domain local — down-disk mask and the machine's workspace on t, owned by the scheduler *)
+let read_candidates_on t ws ~copy addrs prefs =
   let n = Array.length addrs in
+  if Array.length ws.remaining < n then begin
+    let len = max n (2 * Array.length ws.remaining) in
+    ws.remaining <- Array.make len 0;
+    ws.pending <- Array.make len 0;
+    ws.failed <- Array.make len 0
+  end;
   let results = Array.make n t.empty in
-  let remaining = Array.make n ((1 lsl t.replicas) - 1) in
-  (* this pass's blocks, then the ones that failed it in failure order *)
-  let pending = Array.init n Fun.id and failed = Array.make n 0 in
+  let remaining = ws.remaining and pending = ws.pending in
+  let failed = ws.failed in
+  let all = (1 lsl t.replicas) - 1 in
+  for i = 0 to n - 1 do
+    remaining.(i) <- all;
+    pending.(i) <- i
+  done;
   let npending = ref n and nfailed = ref 0 in
   let delivered = ref 0 in
   let deliver k payload =
@@ -616,7 +647,7 @@ let read_candidates t ~copy addrs prefs =
         incr nfailed
       end
     in
-    let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
+    let rounds = schedule_on t ws ~op:Trace.Read ~paddrs ~perform ~on_fail in
     Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
     npending := !nfailed;
     for x = 0 to !nfailed - 1 do
@@ -624,6 +655,15 @@ let read_candidates t ~copy addrs prefs =
     done
   done;
   results
+
+(* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
+let read_candidates t ~copy addrs prefs =
+  let ws = acquire t in
+  match read_candidates_on t ws ~copy addrs prefs with
+  | results ->
+    ws.busy <- false;
+    results
+  | exception e -> release ws e
 
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let read t addrs =
@@ -640,11 +680,12 @@ let read_one t a =
   check_addr t a;
   (read_candidates t ~copy:true [| a |] [| 0 |]).(0)
 
-(* Raise unless [addrs] are distinct. The positions on one disk are
+(* Raise [Invalid_argument what] unless [addrs] are distinct: the
+   check of read_preferring and of write. The positions on one disk are
    chained newest first through the workspace, so a request with one
    block per disk compares no two addresses. *)
 (* pdm-lint: domain local — the machine's workspace chains; one scheduler per simulation, never shared *)
-let check_distinct t addrs =
+let check_distinct t ~what addrs =
   let ws = t.ws in
   let n = Array.length addrs in
   if Array.length ws.chain < n then
@@ -653,9 +694,11 @@ let check_distinct t addrs =
   Array.fill last 0 t.disks (-1);
   for i = 0 to n - 1 do
     let a = addrs.(i) in
-    let rec seen k = k >= 0 && (addrs.(k).block = a.block || seen chain.(k)) in
-    if seen last.(a.disk) then
-      invalid_arg "Pdm.read_preferring: duplicate address";
+    let k = ref last.(a.disk) in
+    while !k >= 0 do
+      if addrs.(!k).block = a.block then invalid_arg what;
+      k := chain.(!k)
+    done;
     chain.(i) <- last.(a.disk);
     last.(a.disk) <- i
   done
@@ -680,7 +723,7 @@ let read_preferring t addrs prefs =
     if prefs.(i) < 0 || prefs.(i) >= t.replicas then
       invalid_arg "Pdm.read_preferring: replica out of range"
   done;
-  check_distinct t addrs;
+  check_distinct t ~what:"Pdm.read_preferring: duplicate address" addrs;
   let blocks = read_candidates t ~copy:false addrs prefs in
   if Sanitize.active () then
     t.views <-
@@ -752,47 +795,53 @@ let write_phys_one t p data =
    r replicas fail does the write raise. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let write t blocks =
-  List.iter (fun (a, _) -> check_addr t a) blocks;
-  if List.length (dedup fst blocks) <> List.length blocks then
-    invalid_arg "Pdm.write: duplicate address in one request";
-  List.iter (fun (a, _) -> notify_write t a) blocks;
-  let sealed =
-    Array.of_list (List.map (fun (_, slots) -> seal t slots) blocks)
-  in
-  let failed = Array.make (Array.length sealed) 0 in
+  let blocks = Array.of_list blocks in
+  let n = Array.length blocks in
+  let addrs = Array.map fst blocks in
+  for i = 0 to n - 1 do
+    check_addr t addrs.(i)
+  done;
+  check_distinct t ~what:"Pdm.write: duplicate address in one request" addrs;
+  for i = 0 to n - 1 do
+    notify_write t addrs.(i)
+  done;
+  let sealed = Array.map (fun (_, slots) -> seal t slots) blocks in
+  let failed = Array.make n 0 in
   let fail_one i p reason attempts =
     failed.(i) <- failed.(i) + 1;
     if failed.(i) >= t.replicas then raise_failure t p reason attempts
   in
-  (* (owning block, physical address) of every replica; replicas on
-     disks already known down fail without costing a round — there is
-     nothing to schedule there *)
-  let targets =
-    List.concat
-      (List.mapi
-         (fun i (a, _) -> List.init t.replicas (fun j -> (i, phys t a j)))
-         blocks)
-    |> List.filter (fun (i, p) ->
-           if t.down.(p.disk) then begin
-             fail_one i p R_lost 0;
-             false
-           end
-           else true)
-    |> Array.of_list
+  (* The owning block and physical address of every replica, block by
+     block in replica order; replicas on disks already known down fail
+     without costing a round — there is nothing to schedule there *)
+  let width = n * t.replicas in
+  let owner = Array.make width 0 in
+  let paddrs = Array.make width { disk = 0; block = 0 } in
+  let targets = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to t.replicas - 1 do
+      let p = phys t addrs.(i) j in
+      if t.down.(p.disk) then fail_one i p R_lost 0
+      else begin
+        owner.(!targets) <- i;
+        paddrs.(!targets) <- p;
+        incr targets
+      end
+    done
+  done;
+  let owner, paddrs =
+    if !targets = width then (owner, paddrs)
+    else (Array.sub owner 0 !targets, Array.sub paddrs 0 !targets)
   in
   let stored = ref 0 in
+  let note_stored () = incr stored in
   let perform k ~attempt:_ =
-    let i, p = targets.(k) in
-    write_attempt t p sealed.(i) (fun () -> incr stored)
+    write_attempt t paddrs.(k) sealed.(owner.(k)) note_stored
   in
   let on_fail k reason ~attempts =
-    let i, p = targets.(k) in
-    fail_one i p reason attempts
+    fail_one owner.(k) paddrs.(k) reason attempts
   in
-  let rounds =
-    schedule t ~op:Trace.Write ~paddrs:(Array.map snd targets) ~perform
-      ~on_fail
-  in
+  let rounds = schedule t ~op:Trace.Write ~paddrs ~perform ~on_fail in
   Stats.add_write_round t.stats ~blocks:!stored ~rounds
 
 let write_one t a slots = write t [ (a, slots) ]

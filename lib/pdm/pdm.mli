@@ -197,6 +197,12 @@ val replica_addr : 'a t -> addr -> replica:int -> addr
     replica of the logical block, following any repair-time
     remapping. *)
 
+val block_number : 'a t -> addr -> int
+(** [block_number t a] is [a.disk * blocks_per_disk t + a.block]: the
+    logical block's index in [\[0, disks t * blocks_per_disk t)], for
+    callers that keep per-block state in an array. [Invalid_argument]
+    for an address out of range, as {!replica_disk} raises. *)
+
 val read_preferring : 'a t -> addr array -> int array -> 'a option array array
 (** [read_preferring t addrs prefs] is {!read} with the replica choice
     made by the caller and the answers in positions: block [addrs.(i)]

@@ -156,6 +156,31 @@ let prop_weight_ratios =
           abs_float (got -. expected) /. expected < 0.10)
         (Topology.shards topo))
 
+(* Topologies of 1-16 shards with sparse ids, weights 1-4, and racks
+   and hosts drawn from small ranges, so shards share them. *)
+let shared_topo_gen =
+  QCheck.Gen.(
+    let* ids =
+      map (List.sort_uniq compare) (list_size (int_range 1 16) (int_bound 40))
+    in
+    let shard id =
+      map3
+        (fun weight rack host -> { Topology.id; weight; rack; host })
+        (int_range 1 4) (int_bound 3) (int_bound 5)
+    in
+    map Topology.make (flatten_l (List.map shard ids)))
+
+let prop_primary_heads_ranking =
+  QCheck.Test.make ~name:"primary = head of rank and of replicas" ~count:300
+    QCheck.(
+      triple
+        (make ~print:Topology.spec_string shared_topo_gen)
+        (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (topo, seed, key) ->
+      let p = Placement.primary topo ~seed key in
+      p = (List.hd (Placement.rank topo ~seed key)).Topology.id
+      && p = List.hd (Placement.replicas topo ~seed ~r:1 key))
+
 (* --- migration plans --- *)
 
 let test_migration_minimal_movement () =
@@ -501,4 +526,4 @@ let suite =
           test_sim_cluster_config_json ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_placement_deterministic; prop_replicas_distinct_domains;
-            prop_weight_ratios ] ) ]
+            prop_weight_ratios; prop_primary_heads_ranking ] ) ]

@@ -32,14 +32,18 @@ let decode_plan plan k =
     (fun acc (a : Pdm.addr) -> acc + (100 * a.Pdm.disk) + a.Pdm.block)
     0 (plan k)
 
-let synthetic ?(replicas = 1) ?(spares = 0) ?(disks = 8) ?(blocks = 8) ~plan
-    () =
+let synthetic ?(replicas = 1) ?(spares = 0) ?(disks = 8) ?(blocks = 8) ?faults
+    ~plan () =
   let m =
-    Pdm.create ~replicas ~spares ~disks ~block_size:4 ~blocks_per_disk:blocks ()
+    Pdm.create ?faults ~replicas ~spares ~disks ~block_size:4
+      ~blocks_per_disk:blocks ()
   in
   for d = 0 to disks - 1 do
     for b = 0 to blocks - 1 do
-      Pdm.write_one m { Pdm.disk = d; block = b } (block_of m [ (100 * d) + b ])
+      let a = { Pdm.disk = d; block = b } and block = block_of m [ (100 * d) + b ] in
+      (* a faulty machine is filled uncounted: no fault shows before
+         the first lookup *)
+      if faults = None then Pdm.write_one m a block else Pdm.poke m a block
     done
   done;
   let decode bs =
@@ -652,13 +656,42 @@ let packing_gen =
       { p_disks = disks; p_replicas = replicas; p_spares = spares;
         p_blocks = blocks; p_warm = warm; p_killed = killed; p_plans = plans })
 
-let packing_arb =
+(* One daemon lookup's plan: a block on every one of the 15 disks, in
+   a random order. *)
+let daemon_plan blocks =
+  QCheck.Gen.(
+    let* disks = shuffle_l (List.init 15 Fun.id) in
+    flatten_l
+      (List.map
+         (fun d -> map (fun b -> { Pdm.disk = d; block = b }) (int_bound (blocks - 1)))
+         disks))
+
+(* Daemon-shaped batches: 15 disks, 2 replicas, 1 spare and 16-64
+   lookups, so most rounds take every disk and close early. Two
+   adjacent dead disks leave the blocks of the first with no healthy
+   replica, at random places in the pending order. *)
+let daemon_packing_gen =
+  QCheck.Gen.(
+    let* blocks = int_range 2 8 in
+    let* warm = list_size (int_range 0 4) (daemon_plan blocks) in
+    let* killed =
+      frequency
+        [ (2, return []);
+          (1, map (fun d -> [ d ]) (int_bound 14));
+          (2, map (fun d -> [ d; (d + 1) mod 15 ]) (int_bound 14)) ]
+    in
+    let* plans = list_size (int_range 16 64) (daemon_plan blocks) in
+    return
+      { p_disks = 15; p_replicas = 2; p_spares = 1; p_blocks = blocks;
+        p_warm = warm; p_killed = killed; p_plans = plans })
+
+let packing_arb gen =
   let addrs p =
     String.concat " "
       (List.map (fun (a : Pdm.addr) -> Printf.sprintf "%d.%d" a.disk a.block) p)
   in
   let plans ps = String.concat " | " (List.map addrs ps) in
-  QCheck.make packing_gen ~print:(fun c ->
+  QCheck.make gen ~print:(fun c ->
       Printf.sprintf
         "disks %d replicas %d spares %d blocks %d killed [%s]\n\
          warm-up: %s\nplans: %s"
@@ -671,80 +704,89 @@ let packing_arb =
    failing round's own scheduler passes are the machine's business:
    only the rounds before it are compared, and the failing disk is the
    one the machine's error names. *)
+let packing_matches_reference c =
+  let all = Array.of_list (c.p_warm @ c.p_plans) in
+  let warm_n = List.length c.p_warm in
+  let m, dict, _ =
+    synthetic ~replicas:c.p_replicas ~spares:c.p_spares ~disks:c.p_disks
+      ~blocks:c.p_blocks ~plan:(fun k -> all.(k)) ()
+  in
+  let tr = Pdm_sim.Trace.create () in
+  Pdm.set_trace m (Some tr);
+  let eng = Engine.create ~config:(one_batch_config (Array.length all)) dict in
+  let read_rounds () =
+    List.filter_map
+      (fun (e : Pdm_sim.Trace.event) ->
+        if e.op = Pdm_sim.Trace.Read then Some e.per_disk else None)
+      (Pdm_sim.Trace.events tr)
+  in
+  (* the batch runs at its last submit when it fills the engine *)
+  let batch lo n =
+    match
+      for k = lo to lo + n - 1 do
+        ignore (Engine.submit eng (Engine.Lookup k))
+      done;
+      Engine.drain eng
+    with
+    | () -> None
+    | exception Engine.Request_failed { id; key; error } ->
+      Some (id, key, error)
+  in
+  let load = Array.make (Pdm.physical_disks m) 0 in
+  let warm_ref, warm_fail =
+    reference_packing m ~down:(fun _ -> false) ~load c.p_warm
+  in
+  if warm_fail <> None then QCheck.Test.fail_report "warm-up cannot fail";
+  if batch 0 warm_n <> None then QCheck.Test.fail_report "warm-up failed";
+  if read_rounds () <> warm_ref then
+    QCheck.Test.fail_report "warm-up rounds differ";
+  Pdm_sim.Trace.clear tr;
+  List.iter (Pdm.kill_disk m) c.p_killed;
+  let expect, expect_fail =
+    reference_packing m ~down:(fun d -> List.mem d c.p_killed) ~load
+      c.p_plans
+  in
+  let rec is_prefix xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | x :: xs, y :: ys -> x = y && is_prefix xs ys
+    | _ :: _, [] -> false
+  in
+  match (batch warm_n (List.length c.p_plans), expect_fail) with
+  | None, None ->
+    read_rounds () = expect || QCheck.Test.fail_report "rounds differ"
+  | Some (id, key, error), Some issued ->
+    let failing =
+      match error with
+      | Backend.Disk_failed e -> e.Backend.disk
+      | _ -> QCheck.Test.fail_report "expected Disk_failed"
+    in
+    let culprit =
+      match
+        List.find_opt
+          (fun (a, _) ->
+            List.mem failing (List.init (Pdm.replicas m) (Pdm.replica_disk m a)))
+          issued
+      with
+      | Some (_, i) -> i
+      | None -> snd (List.hd issued)
+    in
+    if not (is_prefix expect (read_rounds ())) then
+      QCheck.Test.fail_report "rounds before the failure differ";
+    (id = warm_n + culprit && key = warm_n + culprit)
+    || QCheck.Test.fail_reportf "failure pinned on %d (key %d), want %d"
+         id key (warm_n + culprit)
+  | None, Some _ -> QCheck.Test.fail_report "expected a failure"
+  | Some (id, _, _), None ->
+    QCheck.Test.fail_reportf "unexpected failure of %d" id
+
 let prop_packing_matches_reference =
   QCheck.Test.make ~name:"round packing = reference greedy" ~count:300
-    packing_arb (fun c ->
-      let all = Array.of_list (c.p_warm @ c.p_plans) in
-      let warm_n = List.length c.p_warm in
-      let m, dict, _ =
-        synthetic ~replicas:c.p_replicas ~spares:c.p_spares ~disks:c.p_disks
-          ~blocks:c.p_blocks ~plan:(fun k -> all.(k)) ()
-      in
-      let tr = Pdm_sim.Trace.create () in
-      Pdm.set_trace m (Some tr);
-      let eng = Engine.create ~config:(one_batch_config (Array.length all)) dict in
-      let read_rounds () =
-        List.filter_map
-          (fun (e : Pdm_sim.Trace.event) ->
-            if e.op = Pdm_sim.Trace.Read then Some e.per_disk else None)
-          (Pdm_sim.Trace.events tr)
-      in
-      let batch lo n =
-        for k = lo to lo + n - 1 do
-          ignore (Engine.submit eng (Engine.Lookup k))
-        done;
-        match Engine.drain eng with
-        | () -> None
-        | exception Engine.Request_failed { id; key; error } ->
-          Some (id, key, error)
-      in
-      let load = Array.make (Pdm.physical_disks m) 0 in
-      let warm_ref, warm_fail =
-        reference_packing m ~down:(fun _ -> false) ~load c.p_warm
-      in
-      if warm_fail <> None then QCheck.Test.fail_report "warm-up cannot fail";
-      if batch 0 warm_n <> None then QCheck.Test.fail_report "warm-up failed";
-      if read_rounds () <> warm_ref then
-        QCheck.Test.fail_report "warm-up rounds differ";
-      Pdm_sim.Trace.clear tr;
-      List.iter (Pdm.kill_disk m) c.p_killed;
-      let expect, expect_fail =
-        reference_packing m ~down:(fun d -> List.mem d c.p_killed) ~load
-          c.p_plans
-      in
-      let rec is_prefix xs ys =
-        match (xs, ys) with
-        | [], _ -> true
-        | x :: xs, y :: ys -> x = y && is_prefix xs ys
-        | _ :: _, [] -> false
-      in
-      match (batch warm_n (List.length c.p_plans), expect_fail) with
-      | None, None ->
-        read_rounds () = expect || QCheck.Test.fail_report "rounds differ"
-      | Some (id, key, error), Some issued ->
-        let failing =
-          match error with
-          | Backend.Disk_failed e -> e.Backend.disk
-          | _ -> QCheck.Test.fail_report "expected Disk_failed"
-        in
-        let culprit =
-          match
-            List.find_opt
-              (fun (a, _) ->
-                List.mem failing (List.init (Pdm.replicas m) (Pdm.replica_disk m a)))
-              issued
-          with
-          | Some (_, i) -> i
-          | None -> snd (List.hd issued)
-        in
-        if not (is_prefix expect (read_rounds ())) then
-          QCheck.Test.fail_report "rounds before the failure differ";
-        (id = warm_n + culprit && key = warm_n + culprit)
-        || QCheck.Test.fail_reportf "failure pinned on %d (key %d), want %d"
-             id key (warm_n + culprit)
-      | None, Some _ -> QCheck.Test.fail_report "expected a failure"
-      | Some (id, _, _), None ->
-        QCheck.Test.fail_reportf "unexpected failure of %d" id)
+    (packing_arb packing_gen) packing_matches_reference
+
+let prop_daemon_packing_matches_reference =
+  QCheck.Test.make ~name:"round packing = reference greedy, daemon-shaped"
+    ~count:200 (packing_arb daemon_packing_gen) packing_matches_reference
 
 (* --- the batch executor against the list-based one it replaced --- *)
 
@@ -1024,6 +1066,7 @@ type diff_case = {
   d_config : Engine.config;
   d_warm : Pdm.addr list list list;  (* warm-up lookups' plans: steps *)
   d_killed : int list;               (* killed after the warm-up *)
+  d_fail : int list;                 (* failed under the fault spec: down once read *)
   d_plans : Pdm.addr list list list; (* the measured lookups' plans *)
 }
 
@@ -1068,9 +1111,46 @@ let diff_gen =
       { d_disks = disks; d_replicas = replicas; d_spares = spares;
         d_blocks = blocks;
         d_config = { Engine.max_batch; deadline_rounds; cache_blocks };
-        d_warm = warm; d_killed = killed; d_plans = plans })
+        d_warm = warm; d_killed = killed; d_fail = []; d_plans = plans })
 
-let diff_arb =
+(* Daemon-shaped lookups (see [daemon_packing_gen]), a few with a
+   second step. Most draws fail a disk that the machine marks down
+   only when a read meets it, so a disk goes down between two rounds
+   of one fetch; a dead disk next to it leaves blocks with no healthy
+   replica once it does. *)
+let daemon_diff_gen =
+  QCheck.Gen.(
+    let* blocks = int_range 2 8 in
+    let lookup =
+      let* first = daemon_plan blocks in
+      frequency
+        [ (6, return [ first ]); (1, map (fun s -> [ first; s ]) (daemon_plan blocks)) ]
+    in
+    let* fail = frequency [ (1, return []); (3, map (fun d -> [ d ]) (int_bound 14)) ] in
+    (* a warm-up would mostly find the failed disk before the batch *)
+    let* warm =
+      if fail = [] then list_size (int_range 0 4) lookup
+      else frequency [ (3, return []); (1, list_size (int_range 1 2) lookup) ]
+    in
+    let* killed =
+      match fail with
+      | [ d ] ->
+        frequency
+          [ (2, return []);
+            (1, map (fun k -> [ k ]) (int_bound 14));
+            (2, oneofl [ [ (d + 1) mod 15 ]; [ (d + 14) mod 15 ] ]) ]
+      | _ ->
+        frequency [ (2, return []); (1, map (fun k -> [ k ]) (int_bound 14)) ]
+    in
+    let* plans = list_size (int_range 16 64) lookup in
+    let* max_batch = int_range 16 64 in
+    let* cache_blocks = frequency [ (3, return 0); (1, int_range 1 16) ] in
+    return
+      { d_disks = 15; d_replicas = 2; d_spares = 1; d_blocks = blocks;
+        d_config = { Engine.max_batch; deadline_rounds = 1_000_000; cache_blocks };
+        d_warm = warm; d_killed = killed; d_fail = fail; d_plans = plans })
+
+let diff_arb gen =
   let addrs p =
     String.concat " "
       (List.map (fun (a : Pdm.addr) -> Printf.sprintf "%d.%d" a.disk a.block) p)
@@ -1079,14 +1159,14 @@ let diff_arb =
     String.concat " | "
       (List.map (fun steps -> String.concat " ; " (List.map addrs steps)) ps)
   in
-  QCheck.make diff_gen ~print:(fun c ->
+  let disks ds = String.concat ";" (List.map string_of_int ds) in
+  QCheck.make gen ~print:(fun c ->
       Printf.sprintf
         "disks %d replicas %d spares %d blocks %d batch %d deadline %d \
-         cache %d killed [%s]\nwarm-up: %s\nplans: %s"
+         cache %d killed [%s] failed [%s]\nwarm-up: %s\nplans: %s"
         c.d_disks c.d_replicas c.d_spares c.d_blocks c.d_config.Engine.max_batch
         c.d_config.Engine.deadline_rounds c.d_config.Engine.cache_blocks
-        (String.concat ";" (List.map string_of_int c.d_killed))
-        (plans c.d_warm) (plans c.d_plans))
+        (disks c.d_killed) (disks c.d_fail) (plans c.d_warm) (plans c.d_plans))
 
 (* The answer folds every step's blocks in plan order, so a block
    handed to the wrong position changes it. *)
@@ -1095,79 +1175,89 @@ let fold_block acc (block : int option array) =
 
 let answer acc = Some (Bytes.of_string (string_of_int acc))
 
+let engine_matches_reference c =
+  let all = Array.of_list (c.d_warm @ c.d_plans) in
+  let faults =
+    if c.d_fail = [] then None else Some (Fault.spec ~fail:c.d_fail ())
+  in
+  let machine () =
+    let m, _, _ =
+      synthetic ~replicas:c.d_replicas ~spares:c.d_spares ~disks:c.d_disks
+        ~blocks:c.d_blocks ?faults ~plan:(fun _ -> []) ()
+    in
+    let tr = Pdm_sim.Trace.create () in
+    Pdm.set_trace m (Some tr);
+    (m, tr)
+  in
+  let m, tr = machine () and rm, rtr = machine () in
+  let rec engine_steps acc = function
+    | [] -> Engine.Done (answer acc)
+    | s :: rest ->
+      Engine.Fetch
+        ( Array.of_list s,
+          fun bs -> engine_steps (Array.fold_left fold_block acc bs) rest )
+  in
+  let rec reference_steps acc = function
+    | [] -> Reference.Done (answer acc)
+    | s :: rest ->
+      Reference.Fetch
+        ( s,
+          fun bs ->
+            reference_steps
+              (List.fold_left (fun acc (_, b) -> fold_block acc b) acc bs)
+              rest )
+  in
+  let eng =
+    Engine.create ~config:c.d_config
+      { Engine.name = "diff"; machine = m;
+        lookup = (fun k -> engine_steps 0 all.(k)); insert = None;
+        delete = None }
+  in
+  let reference =
+    Reference.create c.d_config rm (fun k -> reference_steps 0 all.(k))
+  in
+  let failure_of = function
+    | Engine.Request_failed { id; key; error } ->
+      Error (id, key, Backend.describe error)
+    | e -> Error (-1, -1, Some (Printexc.to_string e))
+  in
+  let compare_run what lo n =
+    let keys = List.init n (fun i -> lo + i) in
+    let got =
+      List.map
+        (function
+          | Ok (o : Engine.outcome) ->
+            Ok (o.Engine.id, o.Engine.value, o.Engine.submitted,
+                o.Engine.completed)
+          | Error e -> failure_of e)
+        (Engine.run eng (List.map (fun k -> Engine.Lookup k) keys))
+    in
+    let want =
+      List.map
+        (function Ok o -> Ok o | Error e -> failure_of e)
+        (Reference.run reference keys)
+    in
+    let differ field = QCheck.Test.fail_reportf "%s: %s differ" what field in
+    if got <> want then differ "outcomes";
+    if Engine.stats eng <> Reference.stats reference then differ "stats";
+    if Pdm_sim.Trace.events tr <> Pdm_sim.Trace.events rtr then
+      differ "trace events";
+    if Pdm.rounds_total m <> Pdm.rounds_total rm then differ "machine rounds"
+  in
+  let warm_n = List.length c.d_warm in
+  compare_run "warm-up" 0 warm_n;
+  List.iter (fun d -> Pdm.kill_disk m d; Pdm.kill_disk rm d) c.d_killed;
+  compare_run "batch" warm_n (List.length c.d_plans);
+  true
+
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"batch executor = list-based reference" ~count:300
-    diff_arb (fun c ->
-      let all = Array.of_list (c.d_warm @ c.d_plans) in
-      let machine () =
-        let m, _, _ =
-          synthetic ~replicas:c.d_replicas ~spares:c.d_spares ~disks:c.d_disks
-            ~blocks:c.d_blocks ~plan:(fun _ -> []) ()
-        in
-        let tr = Pdm_sim.Trace.create () in
-        Pdm.set_trace m (Some tr);
-        (m, tr)
-      in
-      let m, tr = machine () and rm, rtr = machine () in
-      let rec engine_steps acc = function
-        | [] -> Engine.Done (answer acc)
-        | s :: rest ->
-          Engine.Fetch
-            ( Array.of_list s,
-              fun bs -> engine_steps (Array.fold_left fold_block acc bs) rest )
-      in
-      let rec reference_steps acc = function
-        | [] -> Reference.Done (answer acc)
-        | s :: rest ->
-          Reference.Fetch
-            ( s,
-              fun bs ->
-                reference_steps
-                  (List.fold_left (fun acc (_, b) -> fold_block acc b) acc bs)
-                  rest )
-      in
-      let eng =
-        Engine.create ~config:c.d_config
-          { Engine.name = "diff"; machine = m;
-            lookup = (fun k -> engine_steps 0 all.(k)); insert = None;
-            delete = None }
-      in
-      let reference =
-        Reference.create c.d_config rm (fun k -> reference_steps 0 all.(k))
-      in
-      let failure_of = function
-        | Engine.Request_failed { id; key; error } ->
-          Error (id, key, Backend.describe error)
-        | e -> Error (-1, -1, Some (Printexc.to_string e))
-      in
-      let compare_run what lo n =
-        let keys = List.init n (fun i -> lo + i) in
-        let got =
-          List.map
-            (function
-              | Ok (o : Engine.outcome) ->
-                Ok (o.Engine.id, o.Engine.value, o.Engine.submitted,
-                    o.Engine.completed)
-              | Error e -> failure_of e)
-            (Engine.run eng (List.map (fun k -> Engine.Lookup k) keys))
-        in
-        let want =
-          List.map
-            (function Ok o -> Ok o | Error e -> failure_of e)
-            (Reference.run reference keys)
-        in
-        let differ field = QCheck.Test.fail_reportf "%s: %s differ" what field in
-        if got <> want then differ "outcomes";
-        if Engine.stats eng <> Reference.stats reference then differ "stats";
-        if Pdm_sim.Trace.events tr <> Pdm_sim.Trace.events rtr then
-          differ "trace events";
-        if Pdm.rounds_total m <> Pdm.rounds_total rm then differ "machine rounds"
-      in
-      let warm_n = List.length c.d_warm in
-      compare_run "warm-up" 0 warm_n;
-      List.iter (fun d -> Pdm.kill_disk m d; Pdm.kill_disk rm d) c.d_killed;
-      compare_run "batch" warm_n (List.length c.d_plans);
-      true)
+    (diff_arb diff_gen) engine_matches_reference
+
+let prop_daemon_engine_matches_reference =
+  QCheck.Test.make
+    ~name:"batch executor = list-based reference, daemon-shaped" ~count:200
+    (diff_arb daemon_diff_gen) engine_matches_reference
 
 (* Beyond the reference: every answer is the plan's own, an empty plan
    settles at once, and a plan that names an address twice gets the
@@ -1206,6 +1296,36 @@ let test_positional_answers () =
   check "two distinct blocks fetched" 2 s.Engine.blocks_fetched;
   check "repeats coalesced" 4 s.Engine.coalesced
 
+(* The slot index range-checks each address, in a lookup's first step
+   or in a continuation's, with the machine's own error. Unchecked,
+   block 0.8 of a machine with 8 blocks per disk would take block 1.0's
+   slot. *)
+let test_out_of_range_address () =
+  let good = { Pdm.disk = 1; block = 0 } in
+  let m, _, _ = synthetic ~plan:(fun _ -> []) () in
+  List.iter
+    (fun (bad, msg) ->
+      let lookups =
+        [| Engine.Fetch ([| good; bad |], fun _ -> Engine.Done None);
+           Engine.Fetch
+             ([| good |], fun _ -> Engine.Fetch ([| bad |], fun _ -> Engine.Done None)) |]
+      in
+      Array.iteri
+        (fun k step ->
+          let eng =
+            Engine.create ~config:(one_batch_config 1)
+              { Engine.name = "range"; machine = m; lookup = (fun _ -> step);
+                insert = None; delete = None }
+          in
+          Alcotest.check_raises (Printf.sprintf "%s, step %d" msg (k + 1))
+            (Invalid_argument msg) (fun () ->
+              ignore (Engine.run eng [ Engine.Lookup 0 ])))
+        lookups)
+    [ ({ Pdm.disk = 8; block = 0 }, "Pdm: disk out of range");
+      ({ Pdm.disk = -1; block = 0 }, "Pdm: disk out of range");
+      ({ Pdm.disk = 0; block = 8 }, "Pdm: block out of range");
+      ({ Pdm.disk = 2; block = -1 }, "Pdm: block out of range") ]
+
 let suite =
   [ ("engine.coalescing",
      [ tc "all-same-key batch" `Quick test_all_same_key_coalesces;
@@ -1216,8 +1336,12 @@ let suite =
     ("engine.replicas",
      [ tc "least-loaded splits a hot disk" `Quick test_replicas_split_hot_disk;
        QCheck_alcotest.to_alcotest prop_packing_matches_reference;
+       QCheck_alcotest.to_alcotest prop_daemon_packing_matches_reference;
        QCheck_alcotest.to_alcotest prop_engine_matches_reference;
+       QCheck_alcotest.to_alcotest prop_daemon_engine_matches_reference;
        tc "block i answers address i" `Quick test_positional_answers;
+       tc "an address out of range is refused" `Quick
+         test_out_of_range_address;
        tc "killed disk: failover within 2x" `Quick
          test_killed_disk_failover_within_2x;
        tc "r=1 failure carries request id" `Quick
