@@ -63,32 +63,29 @@ let bandwidth_bits t =
 
 let hash t g key = Prng.hash_to_range ~seed:(t.seed + g) key g t.cfg.buckets
 
-let bucket_addrs t g pos =
-  List.init t.half (fun i -> { Pdm.disk = (g * t.half) + i; block = pos })
+(* Bucket [pos] of table [g] is block [pos] on disk [i] of the table's
+   half of the disks, for i < half. *)
+let bucket_addr t g pos i = { Pdm.disk = (g * t.half) + i; block = pos }
 
-let assemble t blocks g pos =
-  let b = Pdm.block_size t.machine in
-  let out = Array.make (t.half * b) None in
-  List.iter
-    (fun (a : Pdm.addr) ->
-      match List.assoc_opt a blocks with
-      | Some blk -> Array.blit blk 0 out ((a.disk - (g * t.half)) * b) b
-      | None -> invalid_arg "Cuckoo: missing block")
-    (bucket_addrs t g pos);
-  out
+let bucket_addrs t g pos = Array.init t.half (bucket_addr t g pos)
+
+(* A bucket's image from the answers of a read: disk [i] of the bucket
+   answers position [off + i]. *)
+let assemble t blocks ~off =
+  Array.concat (Array.to_list (Array.sub blocks off t.half))
 
 let write_bucket t g pos image =
   let b = Pdm.block_size t.machine in
   Pdm.write t.machine
-    (List.map
-       (fun (a : Pdm.addr) ->
-         (a, Array.sub image ((a.disk - (g * t.half)) * b) b))
-       (bucket_addrs t g pos))
+    (List.init t.half (fun i ->
+         (bucket_addr t g pos i, Array.sub image (i * b) b)))
 
 let read_both t key =
   let p0 = hash t 0 key and p1 = hash t 1 key in
-  let blocks = Pdm.read t.machine (bucket_addrs t 0 p0 @ bucket_addrs t 1 p1) in
-  ((p0, assemble t blocks 0 p0), (p1, assemble t blocks 1 p1))
+  let blocks =
+    Pdm.read t.machine (Array.append (bucket_addrs t 0 p0) (bucket_addrs t 1 p1))
+  in
+  ((p0, assemble t blocks ~off:0), (p1, assemble t blocks ~off:t.half))
 
 let value_of t record =
   Codec.bytes_of_words_len
@@ -116,8 +113,7 @@ let find t key =
 let mem t key = find t key <> None
 
 let read_one_bucket t g pos =
-  let blocks = Pdm.read t.machine (bucket_addrs t g pos) in
-  assemble t blocks g pos
+  assemble t (Pdm.read t.machine (bucket_addrs t g pos)) ~off:0
 
 let rec insert_record t record =
   let key = record.(0) in

@@ -96,11 +96,11 @@ let recover ~machine ~disk_offset ~block_offset cfg =
      rounds (all d disks are read in parallel each round). *)
   for b = 0 to blocks_per_disk cfg - 1 do
     let addrs =
-      List.init cfg.degree (fun i ->
+      Array.init cfg.degree (fun i ->
           { Pdm.disk = disk_offset + i; block = block_offset + b })
     in
-    List.iter
-      (fun (_, block) ->
+    Array.iter
+      (fun block ->
         let live, dead = census t block in
         t.size <- t.size + live;
         t.tombstones <- t.tombstones + dead)
@@ -124,7 +124,7 @@ let slots_per_bucket t = t.slots_per_block * t.cfg.bucket_blocks
    [block_offset + j·bucket_blocks, …+bucket_blocks) of disk
    disk_offset + i. *)
 let bucket_addrs t ~stripe ~local =
-  List.init t.cfg.bucket_blocks (fun b ->
+  Array.init t.cfg.bucket_blocks (fun b ->
       { Pdm.disk = t.disk_offset + stripe;
         block = t.block_offset + (local * t.cfg.bucket_blocks) + b })
 
@@ -340,7 +340,7 @@ let records_of_blocks t blocks =
         | Some _ | None -> ()
       done;
       !out)
-    blocks
+    (Array.to_list blocks)
 
 let bucket_count t = t.cfg.degree * t.cfg.buckets_per_stripe
 
@@ -353,19 +353,20 @@ let read_bucket_entries t g =
   if g < 0 || g >= bucket_count t then
     invalid_arg "Basic_dict.read_bucket_entries: bucket out of range";
   let addrs = global_bucket_addrs t g in
-  records_of_blocks t (List.map snd (Pdm.read t.machine addrs))
+  records_of_blocks t (Pdm.read t.machine addrs)
 
 let drain_bucket t g =
   if g < 0 || g >= bucket_count t then
     invalid_arg "Basic_dict.drain_bucket: bucket out of range";
   let addrs = global_bucket_addrs t g in
-  let blocks = List.map snd (Pdm.read t.machine addrs) in
+  let blocks = Pdm.read t.machine addrs in
   (* Draining physically empties the bucket, releasing tombstones. *)
-  let dead = List.fold_left (fun n b -> n + snd (census t b)) 0 blocks in
+  let dead = Array.fold_left (fun n b -> n + snd (census t b)) 0 blocks in
   let records = records_of_blocks t blocks in
   if records <> [] || dead > 0 then begin
     let empty = Array.make (Pdm.block_size t.machine) None in
-    Pdm.write t.machine (List.map (fun a -> (a, Array.copy empty)) addrs);
+    Pdm.write t.machine
+      (List.map (fun a -> (a, Array.copy empty)) (Array.to_list addrs));
     t.size <- t.size - List.length records;
     t.tombstones <- t.tombstones - dead
   end;
@@ -374,7 +375,7 @@ let drain_bucket t g =
 let entries t =
   let out = ref [] in
   for g = bucket_count t - 1 downto 0 do
-    let blocks = List.map (Pdm.peek t.machine) (global_bucket_addrs t g) in
+    let blocks = Array.map (Pdm.peek t.machine) (global_bucket_addrs t g) in
     out := records_of_blocks t blocks @ !out
   done;
   !out
@@ -382,14 +383,14 @@ let entries t =
 let clear t =
   let empty = Array.make (Pdm.block_size t.machine) None in
   for g = 0 to bucket_count t - 1 do
-    List.iter (fun a -> Pdm.poke t.machine a empty) (global_bucket_addrs t g)
+    Array.iter (fun a -> Pdm.poke t.machine a empty) (global_bucket_addrs t g)
   done;
   t.size <- 0;
   t.tombstones <- 0
 
 let bucket_loads t =
   Array.init (bucket_count t) (fun g ->
-      List.fold_left
+      Array.fold_left
         (fun acc a -> acc + Codec.Slots.count (Pdm.peek t.machine a) ~width:t.width)
         0 (global_bucket_addrs t g))
 

@@ -79,25 +79,22 @@ let build ~machine ~disk_offset ~block_offset ~universe ~degree ~v_factor
   if blocks <> [] then Pdm.write machine blocks;
   t
 
-let read_bit_in blocks t y =
-  let addr, word, bit = locate t y in
-  match List.assoc_opt addr blocks with
-  | None -> invalid_arg "Bitvector_membership: block not fetched"
-  | Some img ->
-    let w = match img.(word) with Some w -> w | None -> 0 in
-    w land (1 lsl bit) <> 0
+let bit_set img ~word ~bit =
+  let w = match img.(word) with Some w -> w | None -> 0 in
+  w land (1 lsl bit) <> 0
 
+(* Answer i of the read is neighbor i's block. *)
 let mem t key =
   let d = Bipartite.d t.graph in
-  let addrs =
-    List.init d (fun i ->
-        let addr, _, _ = locate t (Bipartite.neighbor t.graph key i) in
-        addr)
+  let bits =
+    Array.init d (fun i -> locate t (Bipartite.neighbor t.graph key i))
   in
-  let blocks = Pdm.read t.machine addrs in
+  let blocks = Pdm.read t.machine (Array.map (fun (addr, _, _) -> addr) bits) in
   let rec all i =
     i >= d
-    || (read_bit_in blocks t (Bipartite.neighbor t.graph key i) && all (i + 1))
+    ||
+    let _, word, bit = bits.(i) in
+    bit_set blocks.(i) ~word ~bit && all (i + 1)
   in
   all 0
 
@@ -119,9 +116,8 @@ let false_positive_rate t ~trials ~seed =
     let all_set = ref true in
     for i = 0 to d - 1 do
       let addr, word, bit = locate t (Bipartite.neighbor t.graph x i) in
-      let img = Pdm.peek t.machine addr in
-      let w = match img.(word) with Some w -> w | None -> 0 in
-      if w land (1 lsl bit) = 0 then all_set := false
+      if not (bit_set (Pdm.peek t.machine addr) ~word ~bit) then
+        all_set := false
     done;
     if !all_set then incr fp
   done;

@@ -111,21 +111,16 @@ let decode_field t segs ~at base =
 let neighbor_field t blocks ~off key i =
   decode_field t blocks ~at:(off + (i * t.groups)) (neighbor_base t key i)
 
-(* The blocks holding fields [ys], each read once, by address. *)
-let read_blocks t ys =
-  let fetched = Pdm.Addr_tbl.create 16 in
-  List.iter
-    (fun (a, b) -> Pdm.Addr_tbl.replace fetched a b)
-    (Pdm.read t.machine
-       (List.concat_map (fun y -> Array.to_list (fst (locate t y))) ys));
-  Pdm.Addr_tbl.find fetched
+(* The group blocks of fields [ys] in one positional read: group block
+   [q] of the [k]-th field answers position [k × groups + q]. *)
+let read_groups t ys =
+  Pdm.read t.machine (Array.concat (List.map (fun y -> fst (locate t y)) ys))
 
 let read_fields t ys =
-  let block = read_blocks t ys in
-  List.map
-    (fun y ->
-      let addrs, base = locate t y in
-      (y, decode_field t (Array.map block addrs) ~at:0 base))
+  let blocks = read_groups t ys in
+  List.mapi
+    (fun k y ->
+      (y, decode_field t blocks ~at:(k * t.groups) (snd (locate t y))))
     ys
 
 (* pdm-lint: domain local — field codec mutates a per-call scratch copy of the block *)
@@ -144,8 +139,8 @@ let poke_field t segs base content =
       (match words with None -> None | Some words -> Some words.(w))
   done
 
-(* Write field [y] into the touched blocks, copying a group block's
-   fetched image ([fetched q a]) the first time the block is touched;
+(* Write field [y] into the touched blocks, copying group block [q]'s
+   fetched image ([fetched q]) the first time the block is touched;
    the touched table keeps the blocks in first-touch order. *)
 (* pdm-lint: domain local — per-call table of scratch block copies *)
 let stage t touched ~fetched y content =
@@ -156,7 +151,7 @@ let stage t touched ~fetched y content =
         match Hashtbl.find_opt touched a with
         | Some block -> block
         | None ->
-          let block = Array.copy (fetched q a) in
+          let block = Array.copy (fetched q) in
           Hashtbl.replace touched a block;
           block)
       addrs
@@ -170,17 +165,18 @@ let prepare_updates t key ~images ~off updates =
   List.iter
     (fun (i, content) ->
       stage t touched
-        ~fetched:(fun q _ -> images.(off + (i * t.groups) + q))
+        ~fetched:(fun q -> images.(off + (i * t.groups) + q))
         (Bipartite.neighbor t.graph key i)
         content)
     updates;
   touched_blocks touched
 
 let write_fields t updates =
-  let block = read_blocks t (List.map fst updates) in
+  let blocks = read_groups t (List.map fst updates) in
   let touched = Hashtbl.create 8 in
-  List.iter
-    (fun (y, content) -> stage t touched ~fetched:(fun _ a -> block a) y content)
+  List.iteri
+    (fun k (y, content) ->
+      stage t touched ~fetched:(fun q -> blocks.((k * t.groups) + q)) y content)
     updates;
   match touched_blocks touched with
   | [] -> ()

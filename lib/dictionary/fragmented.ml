@@ -88,11 +88,11 @@ let recover ~machine ~disk_offset ~block_offset cfg =
   let fragments = ref 0 in
   for b = 0 to blocks_per_disk cfg - 1 do
     let addrs =
-      List.init cfg.degree (fun i ->
+      Array.init cfg.degree (fun i ->
           { Pdm.disk = disk_offset + i; block = block_offset + b })
     in
-    List.iter
-      (fun (_, block) -> fragments := !fragments + Codec.Slots.count block ~width:t.width)
+    Array.iter
+      (fun block -> fragments := !fragments + Codec.Slots.count block ~width:t.width)
       (Pdm.read machine addrs)
   done;
   if !fragments mod k <> 0 then
@@ -114,9 +114,9 @@ let addr_of_bucket t i key =
   let stripe, local = Bipartite.neighbor_in_stripe t.graph key i in
   { Pdm.disk = t.disk_offset + stripe; block = t.block_offset + local }
 
-let addresses t key = List.init t.cfg.degree (fun i -> addr_of_bucket t i key)
-
-let fetch t key = Pdm.read t.machine (addresses t key)
+(* Bucket i of a key's plan is its neighbor i, so answer i of
+   [Pdm.read] on the plan is that bucket's block. *)
+let addresses t key = Array.init t.cfg.degree (fun i -> addr_of_bucket t i key)
 
 (* Collect (frag_idx, payload words) of [key] from a block image. *)
 let fragments_in t block key =
@@ -131,12 +131,7 @@ let fragments_in t block key =
 
 let find_in t key blocks =
   let frags =
-    List.concat_map
-      (fun addr ->
-        match List.assoc_opt addr blocks with
-        | Some block -> fragments_in t block key
-        | None -> invalid_arg "Fragmented: missing block in fetch")
-      (addresses t key)
+    List.concat_map (fun block -> fragments_in t block key) (Array.to_list blocks)
   in
   let k = frag_count t.cfg in
   if List.length frags <> k then None
@@ -160,7 +155,7 @@ let find_in t key blocks =
     Some (Bytes.sub out 0 len)
   end
 
-let find t key = find_in t key (fetch t key)
+let find t key = find_in t key (Pdm.read t.machine (addresses t key))
 
 let mem t key = find t key <> None
 
@@ -183,70 +178,56 @@ let split_satellite t satellite =
       done;
       Codec.words_of_bits (Pdm_util.Bitbuf.Writer.contents w) ~nbits:fb)
 
+(* The positions of the images the key had fragments in, most recent
+   first. *)
 let remove_key_from_images t key images =
   let touched = ref [] in
-  List.iter
-    (fun (addr, block) ->
+  Array.iteri
+    (fun i block ->
       let frags = fragments_in t block key in
       if frags <> [] then begin
         List.iter
           (fun (_, _, slot) -> Codec.Slots.write block ~width:t.width slot None)
           frags;
-        touched := addr :: !touched
+        touched := i :: !touched
       end)
     images;
   !touched
 
+let write_images t addrs images touched =
+  Pdm.write t.machine (List.map (fun i -> (addrs.(i), images.(i))) touched)
+
 let insert t key satellite =
   if key < 0 || key >= t.cfg.universe then invalid_arg "Fragmented: key range";
-  let images = fetch t key in
+  let addrs = addresses t key in
+  let images = Pdm.read t.machine addrs in
   let was_present = find_in t key images <> None in
   if (not was_present) && t.size >= t.cfg.capacity then
     invalid_arg "Fragmented.insert: at capacity";
   let touched_by_removal = remove_key_from_images t key images in
   (* Greedy k-item placement over the (already updated) images. *)
-  let buckets = addresses t key in
-  let load_of addr =
-    Codec.Slots.count (List.assoc addr images) ~width:t.width
-  in
   let payloads = split_satellite t satellite in
   let touched = ref touched_by_removal in
   List.iteri
     (fun idx payload ->
-      let best =
-        List.fold_left
-          (fun acc addr ->
-            match acc with
-            | Some (_, l) when l <= load_of addr -> acc
-            | Some _ | None -> Some (addr, load_of addr))
-          None buckets
-      in
-      match best with
-      | None ->
-        (* pdm-lint: allow R3 — unreachable: [buckets] lists the key's
-           d candidate buckets and [plan] enforces degree >= 1, so the
-           fold always selects a least-loaded bucket. *)
-        assert false
-      | Some (addr, _) ->
-        let block = List.assoc addr images in
-        (match Codec.Slots.first_free block ~width:t.width with
-         | None -> raise (Overflow key)
-         | Some s ->
-           Codec.Slots.write block ~width:t.width s
-             (Some (Array.concat [ [| key; idx |]; payload ]));
-           if not (List.mem addr !touched) then touched := addr :: !touched))
+      let i = Codec.Slots.least_loaded images ~width:t.width in
+      match Codec.Slots.first_free images.(i) ~width:t.width with
+      | None -> raise (Overflow key)
+      | Some s ->
+        Codec.Slots.write images.(i) ~width:t.width s
+          (Some (Array.concat [ [| key; idx |]; payload ]));
+        if not (List.mem i !touched) then touched := i :: !touched)
     payloads;
-  Pdm.write t.machine
-    (List.map (fun addr -> (addr, List.assoc addr images)) !touched);
+  write_images t addrs images !touched;
   if not was_present then t.size <- t.size + 1
 
 let delete t key =
-  let images = fetch t key in
+  let addrs = addresses t key in
+  let images = Pdm.read t.machine addrs in
   let touched = remove_key_from_images t key images in
   if touched = [] then false
   else begin
-    Pdm.write t.machine
-      (List.map (fun addr -> (addr, List.assoc addr images)) touched);
+    write_images t addrs images touched;
     t.size <- t.size - 1;
     true
   end

@@ -70,11 +70,12 @@ let run ?(universe = 1 lsl 24) ?(n = 20_000) ?(lookups = 10_000) ?(zipf = 0.9)
       float_of_int (Cache.hits cache) /. float_of_int (max 1 accesses) )
   in
   let btree_addrs k =
-    List.concat_map
-      (fun sbi -> List.init disks (fun i -> { Pdm.disk = i; block = sbi }))
-      (Btree.path bt k)
+    Array.of_list
+      (List.concat_map
+         (fun sbi -> List.init disks (fun i -> { Pdm.disk = i; block = sbi }))
+         (Btree.path bt k))
   in
-  let dict_addrs k = Array.to_list (Basic.addresses dict k) in
+  let dict_addrs k = Basic.addresses dict k in
   let points =
     List.map
       (fun cache_blocks ->

@@ -3,9 +3,9 @@
     Real systems keep a block cache in RAM; the introduction's "3 disk
     accesses" B-tree figure already assumes the root is resident. This
     module makes the assumption explicit and measurable: reads served
-    from the cache cost nothing, misses are forwarded (and counted) by
-    the underlying machine, and writes are write-through (always
-    counted) while refreshing the cached copy.
+    from the cache cost nothing, and misses are forwarded (and
+    counted) by the underlying machine. Writes go to the machine,
+    which tells the cache to drop its copy.
 
     Interesting asymmetry for the paper's story: a B-tree concentrates
     its upper levels into few hot blocks that any small LRU captures,
@@ -21,21 +21,18 @@ type 'a t
 
 val create : 'a Pdm.t -> capacity_blocks:int -> 'a t
 (** The cache registers a {!Pdm.add_write_listener} on the machine, so
-    writes that bypass it — journal replay, scrub repair, a second
-    handle on the same machine — invalidate the affected blocks
-    instead of leaving stale copies behind. The registration lasts for
-    the machine's lifetime. *)
+    every write to it — a dictionary's update, journal replay, scrub
+    repair — invalidates the affected blocks instead of leaving stale
+    copies behind. The registration lasts for the machine's
+    lifetime. *)
 
-val machine : 'a t -> 'a Pdm.t
-
-val capacity : 'a t -> int
-
-val read : 'a t -> Pdm.addr list -> (Pdm.addr * 'a option array) list
-(** Hits are free; misses are fetched in one machine request (packed
-    into the minimal rounds) and inserted, evicting least recently used
-    blocks. Returned arrays are private copies. *)
-
-val read_one : 'a t -> Pdm.addr -> 'a option array
+val read : 'a t -> Pdm.addr array -> 'a option array array
+(** Answer [i] is block [addrs.(i)], as {!Pdm.read} answers. Each
+    distinct address counts once, as a hit or a miss. Hits are free
+    and served first, in address order; the misses are then fetched in
+    address order in one {!Pdm.read} (packed into the minimal rounds)
+    and inserted, evicting least recently used blocks. Answers are
+    private copies; positions naming one address share one. *)
 
 val find_cached : 'a t -> Pdm.addr -> 'a option array option
 (** Probe without fetching: [Some copy] (counted as a hit, LRU
@@ -48,15 +45,9 @@ val note_fetched : 'a t -> Pdm.addr -> 'a option array -> unit
     machine request — the companion to {!find_cached}. Counts as
     neither hit nor miss; evicts LRU blocks as needed. *)
 
-val write : 'a t -> (Pdm.addr * 'a option array) list -> unit
-(** Write-through: forwarded to the machine and cached. *)
-
 val hits : 'a t -> int
 
 val misses : 'a t -> int
 
 val resident : 'a t -> int
 (** Blocks currently cached. *)
-
-val flush : 'a t -> unit
-(** Drop all cached blocks (the counters survive). *)

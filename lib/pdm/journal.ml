@@ -182,13 +182,11 @@ let recover machine ~block_offset ~capacity_blocks =
       `Discarded
     end
     else begin
-      let slots = List.init nblocks (fun i -> slot_addr t i) in
-      let by_addr = Pdm.read machine slots in
+      let blocks = Pdm.read machine (Array.init nblocks (slot_addr t)) in
       let b = Pdm.block_size machine in
       let cells =
         Array.init len (fun k ->
-            let blk = List.assoc (slot_addr t (k / b)) by_addr in
-            match blk.(k mod b) with Some v -> v | None -> 0)
+            match blocks.(k / b).(k mod b) with Some v -> v | None -> 0)
       in
       if checksum_stream cells <> sum then begin
         (* a stale or damaged log must not be replayed *)

@@ -221,36 +221,11 @@ let block_number t a =
   check_addr t a;
   (a.disk * t.blocks_per_disk) + a.block
 
-let equal_addr (a : addr) (b : addr) = a.disk = b.disk && a.block = b.block
-
-(* Addresses hashed as one integer from disk and block. *)
-module Addr_tbl = Hashtbl.Make (struct
-  type t = addr
-
-  let equal = equal_addr
-  let hash (a : addr) = (a.block * 65_599) + a.disk
-end)
-
-(* Keep the first element of each address, in list order; a list
-   without duplicates comes back as itself. *)
-let dedup addr_of xs =
-  match xs with
-  | [] | [ _ ] -> xs
-  | _ ->
-    let seen = Addr_tbl.create 16 in
-    let first x =
-      let a = addr_of x in
-      (not (Addr_tbl.mem seen a)) && (Addr_tbl.add seen a (); true)
-    in
-    if List.for_all first xs then xs
-    else begin
-      Addr_tbl.reset seen;
-      List.filter first xs
-    end
-
+(* The closed form, counted on the distinct addresses independently of
+   the read path's own coalescing. *)
 let rounds_for t addrs =
   List.iter (check_addr t) addrs;
-  let addrs = dedup Fun.id addrs in
+  let addrs = List.sort_uniq compare addrs in
   match t.model with
   | Parallel_heads -> Imath.cdiv (List.length addrs) t.disks
   | Independent_disks ->
@@ -598,13 +573,12 @@ let choose t a ~pref mask =
    (the seed's cost); discovering a dead disk costs one extra pass for
    the affected blocks, after which the health cache routes straight
    to the survivors. Only when a block runs out of replicas does the
-   terminal failure escape as a structured exception. With [copy] each
-   answer is a fresh array; without it, the stored image itself (and
-   the machine's one [empty] block for a never-written address).
-   Answer [i] is block [addrs.(i)]'s; the answer array is the only one
+   terminal failure escape as a structured exception. Answer [i] is
+   block [addrs.(i)]'s stored image itself (or the machine's one [empty]
+   block for a never-written address); the answer array is the only one
    the bookkeeping allocates, the rest lives in the workspace [ws]. *)
 (* pdm-lint: domain local — down-disk mask and the machine's workspace on t, owned by the scheduler *)
-let read_candidates_on t ws ~copy addrs prefs =
+let read_candidates_on t ws addrs prefs =
   let n = Array.length addrs in
   if Array.length ws.remaining < n then begin
     let len = max n (2 * Array.length ws.remaining) in
@@ -624,8 +598,7 @@ let read_candidates_on t ws ~copy addrs prefs =
   let delivered = ref 0 in
   let deliver k payload =
     results.(pending.(k)) <-
-      (if copy then block_copy t payload
-       else match payload with Some image -> image | None -> t.empty);
+      (match payload with Some image -> image | None -> t.empty);
     incr delivered
   in
   while !npending > 0 do
@@ -657,51 +630,90 @@ let read_candidates_on t ws ~copy addrs prefs =
   results
 
 (* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
-let read_candidates t ~copy addrs prefs =
+let read_candidates t addrs prefs =
   let ws = acquire t in
-  match read_candidates_on t ws ~copy addrs prefs with
+  match read_candidates_on t ws addrs prefs with
   | results ->
     ws.busy <- false;
     results
   | exception e -> release ws e
 
-(* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let read t addrs =
-  check_views t;
-  List.iter (check_addr t) addrs;
-  let addrs = Array.of_list (dedup Fun.id addrs) in
-  let blocks =
-    read_candidates t ~copy:true addrs (Array.make (Array.length addrs) 0)
-  in
-  List.init (Array.length addrs) (fun i -> (addrs.(i), blocks.(i)))
-
-let read_one t a =
-  check_views t;
-  check_addr t a;
-  (read_candidates t ~copy:true [| a |] [| 0 |]).(0)
-
-(* Raise [Invalid_argument what] unless [addrs] are distinct: the
-   check of read_preferring and of write. The positions on one disk are
-   chained newest first through the workspace, so a request with one
-   block per disk compares no two addresses. *)
+(* Chain the first position of each distinct address of [addrs]
+   through the workspace, by disk and newest first, and answer how many
+   positions repeat an earlier one; a repeat's own chain entry names
+   its address's first position. A position is compared only with the
+   first positions on its disk, so a request with one block per disk
+   compares no two addresses. *)
 (* pdm-lint: domain local — the machine's workspace chains; one scheduler per simulation, never shared *)
-let check_distinct t ~what addrs =
+let chain_distinct t addrs =
   let ws = t.ws in
   let n = Array.length addrs in
   if Array.length ws.chain < n then
     ws.chain <- Array.make (max n (2 * Array.length ws.chain)) (-1);
   let last = ws.last and chain = ws.chain in
   Array.fill last 0 t.disks (-1);
+  let repeats = ref 0 in
   for i = 0 to n - 1 do
     let a = addrs.(i) in
     let k = ref last.(a.disk) in
-    while !k >= 0 do
-      if addrs.(!k).block = a.block then invalid_arg what;
+    while !k >= 0 && addrs.(!k).block <> a.block do
       k := chain.(!k)
     done;
-    chain.(i) <- last.(a.disk);
-    last.(a.disk) <- i
-  done
+    if !k >= 0 then begin
+      chain.(i) <- !k;
+      incr repeats
+    end
+    else begin
+      chain.(i) <- last.(a.disk);
+      last.(a.disk) <- i
+    end
+  done;
+  !repeats
+
+(* Raise [Invalid_argument what] unless [addrs] are distinct: the
+   check of read_preferring and of write. *)
+let check_distinct t ~what addrs =
+  if chain_distinct t addrs > 0 then invalid_arg what
+
+(* Fresh copies of distinct blocks [addrs], answer [i] for [addrs.(i)]. *)
+let read_copies t addrs =
+  let blocks = read_candidates t addrs (Array.make (Array.length addrs) 0) in
+  for i = 0 to Array.length blocks - 1 do
+    blocks.(i) <- Array.copy blocks.(i)
+  done;
+  blocks
+
+(* Answer [i] is block [addrs.(i)]. A repeated address is read once, at
+   its first position, and every position naming it shares that copy;
+   the distinct addresses are scheduled in first-occurrence order. A
+   position's chain entry names an earlier position on its disk: its
+   first occurrence when the blocks match, else the previous distinct
+   address. *)
+let read t addrs =
+  check_views t;
+  for i = 0 to Array.length addrs - 1 do
+    check_addr t addrs.(i)
+  done;
+  match chain_distinct t addrs with
+  | 0 -> read_copies t addrs
+  | repeats ->
+    let n = Array.length addrs and chain = t.ws.chain in
+    let slot = Array.make n 0 in
+    let distinct = Array.make (n - repeats) addrs.(0) in
+    let next = ref 0 in
+    for i = 0 to n - 1 do
+      let k = chain.(i) in
+      if k >= 0 && addrs.(k).block = addrs.(i).block then slot.(i) <- slot.(k)
+      else begin
+        distinct.(!next) <- addrs.(i);
+        slot.(i) <- !next;
+        incr next
+      end
+    done;
+    let blocks = read_copies t distinct in
+    Array.map (fun s -> blocks.(s)) slot
+
+let read_one t a = (read t [| a |]).(0)
 
 (* Replica-directed read: the caller chose which replica should serve
    each block (e.g. two-choice assignment onto the least-loaded disk);
@@ -724,7 +736,7 @@ let read_preferring t addrs prefs =
       invalid_arg "Pdm.read_preferring: replica out of range"
   done;
   check_distinct t ~what:"Pdm.read_preferring: duplicate address" addrs;
-  let blocks = read_candidates t ~copy:false addrs prefs in
+  let blocks = read_candidates t addrs prefs in
   if Sanitize.active () then
     t.views <-
       List.init n (fun i -> (addrs.(i), blocks.(i), Array.copy blocks.(i)));
@@ -795,6 +807,7 @@ let write_phys_one t p data =
    r replicas fail does the write raise. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
 let write t blocks =
+  check_views t;
   let blocks = Array.of_list blocks in
   let n = Array.length blocks in
   let addrs = Array.map fst blocks in

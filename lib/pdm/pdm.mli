@@ -10,8 +10,14 @@
     A request touching two blocks on the same disk in the
     independent-disks model is legal but costs two rounds; the
     simulator schedules the request into the fewest rounds possible and
-    charges that many. Duplicate block addresses within one request are
-    coalesced.
+    charges that many.
+
+    Every read takes an array of addresses and answers in positions:
+    answer [i] is block [addrs.(i)]. {!read} and {!read_one} answer
+    fresh copies the caller owns, and {!read} coalesces a repeated
+    address (transferred once, its positions sharing one copy).
+    {!read_preferring} and {!read_views} answer read-only views of the
+    stored images and reject a repeated address before any I/O.
 
     Each disk is a first-class {!Backend.t}. The default is the
     original in-memory array; passing [?faults] wraps every disk in a
@@ -58,12 +64,12 @@
     {!Backend.Retries_exhausted} or {!Backend.Corrupt_block}, each
     carrying disk, block and round.
 
-    Blocks are exposed as ['a option array] copies of the {e payload}
+    Blocks are exposed as ['a option array] images of the {e payload}
     (checksum cells are stripped before the caller sees them): [None]
     marks an empty slot. Mutating a block {!read} returned does not
     change the disk; all updates go through {!write}, so every byte
-    that reaches a disk is counted. {!read_preferring} is the one
-    exception: it answers read-only views, not copies. [peek] and
+    that reaches a disk is counted. The views {!read_preferring} and
+    {!read_views} answer must not be mutated at all. [peek] and
     [poke] bypass accounting and fault injection and exist for tests
     and construction-time bulk loading only — production code paths
     never use them. *)
@@ -76,10 +82,6 @@ type 'a t
 
 type addr = { disk : int; block : int }
 (** Address of one block. *)
-
-(** Hash tables keyed by block address: disk and block hashed as one
-    integer and compared as integers. *)
-module Addr_tbl : Hashtbl.S with type key = addr
 
 type 'a integrity = {
   tag : string;  (** Envelope name, for error messages and docs. *)
@@ -173,17 +175,19 @@ val set_sanitize : bool -> unit
 
 val sanitize_enabled : unit -> bool
 
-val read : 'a t -> addr list -> (addr * 'a option array) list
+val read : 'a t -> addr array -> 'a option array array
 (** [read t addrs] fetches the requested blocks, charging the minimal
     number of parallel read rounds (plus any rounds injected faults,
-    retries or replica failover cost). Unwritten blocks read as
-    all-empty. The result lists each distinct requested address
-    exactly once, in the order of its first occurrence in [addrs] —
+    retries or replica failover cost). Answer [i] is block [addrs.(i)],
+    a fresh copy the caller owns; unwritten blocks read as all-empty.
+    A repeated address is transferred once, at its first position, and
+    every position naming it shares that one copy. The distinct
+    addresses are scheduled in the order of their first occurrence —
     the same on every machine configuration. *)
 
 val read_one : 'a t -> addr -> 'a option array
-(** Read a single block: exactly one parallel I/O (more under faults
-    or failover). *)
+(** [read_one t a] is [(read t [| a |]).(0)]: exactly one parallel I/O
+    (more under faults or failover). *)
 
 val replica_disk : 'a t -> addr -> int -> int
 (** [replica_disk t a j] is the physical disk currently holding replica
@@ -205,10 +209,10 @@ val block_number : 'a t -> addr -> int
 
 val read_preferring : 'a t -> addr array -> int array -> 'a option array array
 (** [read_preferring t addrs prefs] is {!read} with the replica choice
-    made by the caller and the answers in positions: block [addrs.(i)]
-    is served by replica [prefs.(i)] when that disk answers, failing
-    over to the remaining replicas (in home order) otherwise, and
-    answer [i] is that block. Every preference must be a valid replica
+    made by the caller: block [addrs.(i)] is served by replica
+    [prefs.(i)] when that disk answers, failing over to the remaining
+    replicas (in home order) otherwise, and answer [i] is that block.
+    Every preference must be a valid replica
     ([0 <= j < replicas t]); then the addresses must be distinct: a
     duplicate raises [Invalid_argument] before any I/O (callers that
     plan with repeats, such as the batched query engine, map each
@@ -255,9 +259,10 @@ val add_write_listener : 'a t -> (addr -> unit) -> unit
 val rounds_for : 'a t -> addr list -> int
 (** Number of parallel I/Os {!read} would charge for these addresses
     (after coalescing duplicates) on a healthy unreplicated machine,
-    without performing the access. On a faulty or degraded machine
-    this is the lower bound: retries, straggling and failover can
-    only add rounds. *)
+    without performing the access: the closed form, counted on the
+    distinct addresses without the read path's code. On a faulty or
+    degraded machine this is the lower bound: retries, straggling and
+    failover can only add rounds. *)
 
 val peek : 'a t -> addr -> 'a option array
 (** Uncounted, fault-free read of the first intact replica — tests

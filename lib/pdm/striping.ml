@@ -8,53 +8,18 @@ let superblock_size s = Pdm.disks s.pdm * Pdm.block_size s.pdm
 
 let superblocks s = Pdm.blocks_per_disk s.pdm
 
-let addrs_of s j = List.init (Pdm.disks s.pdm) (fun i -> { Pdm.disk = i; block = j })
+let addr j i = { Pdm.disk = i; block = j }
 
-let assemble s parts =
-  let b = Pdm.block_size s.pdm in
-  let out = Array.make (superblock_size s) None in
-  List.iter
-    (fun ((a : Pdm.addr), slots) ->
-      Array.blit slots 0 out (a.disk * b) b)
-    parts;
-  out
-
-let read s j = assemble s (Pdm.read s.pdm (addrs_of s j))
+(* Answer i is disk i's block, so the superblock is the answers in
+   order. *)
+let read s j =
+  let parts = Pdm.read s.pdm (Array.init (Pdm.disks s.pdm) (addr j)) in
+  Array.concat (Array.to_list parts)
 
 let write s j block =
   if Array.length block <> superblock_size s then
     invalid_arg "Striping.write: superblock has wrong length";
   let b = Pdm.block_size s.pdm in
-  let parts =
-    List.map
-      (fun (a : Pdm.addr) -> (a, Array.sub block (a.disk * b) b))
-      (addrs_of s j)
-  in
-  Pdm.write s.pdm parts
-
-let read_many s js =
-  let js = List.sort_uniq compare js in
-  let all = List.concat_map (addrs_of s) js in
-  let parts = Pdm.read s.pdm all in
-  List.map
-    (fun j ->
-      let mine =
-        List.filter (fun ((a : Pdm.addr), _) -> a.block = j) parts
-      in
-      (j, assemble s mine))
-    js
-
-let write_many s blocks =
-  let b = Pdm.block_size s.pdm in
-  List.iter
-    (fun (_, block) ->
-      if Array.length block <> superblock_size s then
-        invalid_arg "Striping.write_many: superblock has wrong length")
-    blocks;
   Pdm.write s.pdm
-    (List.concat_map
-       (fun (j, block) ->
-         List.map
-           (fun (a : Pdm.addr) -> (a, Array.sub block (a.disk * b) b))
-           (addrs_of s j))
-       blocks)
+    (List.init (Pdm.disks s.pdm) (fun i ->
+         (addr j i, Array.sub block (i * b) b)))

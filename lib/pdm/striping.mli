@@ -25,16 +25,10 @@ val superblocks : 'a t -> int
 (** Number of logical superblocks (= blocks per disk). *)
 
 val read : 'a t -> int -> 'a option array
-(** [read s j] fetches superblock [j] in one parallel I/O. *)
+(** [read s j] fetches superblock [j] in one parallel I/O: one
+    positional {!Pdm.read} of block [j] on every disk, whose answer [i]
+    fills slots [i·B, (i+1)·B). The superblock is a fresh array. *)
 
 val write : 'a t -> int -> 'a option array -> unit
 (** [write s j block] stores superblock [j] in one parallel I/O. The
     array must have length [superblock_size s]. *)
-
-val read_many : 'a t -> int list -> (int * 'a option array) list
-(** Fetch several superblocks; [k] distinct superblocks cost [k]
-    parallel I/Os (they collide on every disk). *)
-
-val write_many : 'a t -> (int * 'a option array) list -> unit
-(** Store several superblocks ([k] distinct ones cost [k] rounds).
-    Duplicate indices are an error. *)

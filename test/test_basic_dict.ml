@@ -187,9 +187,7 @@ let test_combined_fetch_decoding () =
     let addrs = Array.make (2 * n) { Pdm.disk = 0; block = 0 } in
     Basic.fill_addresses d other addrs ~off:0;
     Basic.fill_addresses d key addrs ~off:n;
-    let distinct = List.sort_uniq compare (Array.to_list addrs) in
-    let by_addr = Pdm.read machine distinct in
-    (Array.map (fun a -> List.assoc a by_addr) addrs, n)
+    (Pdm.read machine addrs, n)
   in
   let blocks, off = fetch_after 9999 11 in
   (match Basic.find_in d 11 blocks ~off with

@@ -373,6 +373,22 @@ let test_sanitizer_catches_written_view () =
   | exception Sanitize.Sanitizer_violation v ->
     Alcotest.(check string) "check" "read-only-view" v.Sanitize.check
 
+(* A caller that only writes after a view was written into is still
+   caught: the machine's next write runs the check. *)
+let test_sanitizer_write_checks_views () =
+  let m : int Pdm.t = Pdm.create ~disks:4 ~block_size:4 ~blocks_per_disk:8 () in
+  let a = { Pdm.disk = 1; block = 2 } and b = { Pdm.disk = 2; block = 3 } in
+  Pdm.write_one m a (block_of m [ 1 ]);
+  match
+    Sanitize.with_sanitize true (fun () ->
+        let view = (Pdm.read_views m [| a |]).(0) in
+        view.(0) <- Some 99;
+        Pdm.write_one m b (block_of m [ 2 ]))
+  with
+  | () -> Alcotest.fail "expected a read-only-view violation"
+  | exception Sanitize.Sanitizer_violation v ->
+    Alcotest.(check string) "check" "read-only-view" v.Sanitize.check
+
 let test_sanitizer_view_check_is_transparent () =
   let run sanitize =
     let m, dict = two_step_dict ~scribble:false in
@@ -411,15 +427,16 @@ let test_cache_sees_direct_writes () =
   let c = Cache.create m ~capacity_blocks:4 in
   let a = { Pdm.disk = 1; block = 2 } in
   Pdm.write_one m a (block_of m [ 1 ]);
-  Alcotest.(check (option int)) "first read" (Some 1) (Cache.read_one c a).(0);
+  Alcotest.(check (option int)) "first read" (Some 1)
+    (Cache.read c [| a |]).(0).(0);
   (* A writer that bypasses the cache (second handle, journal replay,
      repair): the listener must drop the stale copy. *)
   Pdm.write_one m a (block_of m [ 2 ]);
   Alcotest.(check (option int)) "write invalidates" (Some 2)
-    (Cache.read_one c a).(0);
+    (Cache.read c [| a |]).(0).(0);
   Pdm.poke m a (block_of m [ 3 ]);
   Alcotest.(check (option int)) "poke invalidates" (Some 3)
-    (Cache.read_one c a).(0);
+    (Cache.read c [| a |]).(0).(0);
   check "every re-read was a miss" 3 (Cache.misses c)
 
 let test_cache_coherent_after_journal_replay () =
@@ -431,7 +448,7 @@ let test_cache_coherent_after_journal_replay () =
   let a = { Pdm.disk = 0; block = 0 } in
   Pdm.write_one m a (block_of m [ 10 ]);
   Alcotest.(check (option int)) "cached old value" (Some 10)
-    (Cache.read_one c a).(0);
+    (Cache.read c [| a |]).(0).(0);
   (* Committed but unapplied batch; recovery replays it through
      Pdm.write, which must invalidate the cached copy. *)
   (try Journal.log_and_apply j ~crash:Journal.After_commit [ (a, block_of m [ 11 ]) ]
@@ -440,7 +457,7 @@ let test_cache_coherent_after_journal_replay () =
    | `Replayed _ -> ()
    | `Clean | `Discarded -> Alcotest.fail "expected a replay");
   Alcotest.(check (option int)) "replayed value visible" (Some 11)
-    (Cache.read_one c a).(0)
+    (Cache.read c [| a |]).(0).(0)
 
 let test_cache_coherent_after_scrub_repair () =
   let m : int Pdm.t =
@@ -452,7 +469,7 @@ let test_cache_coherent_after_scrub_repair () =
   let b = { Pdm.disk = 1; block = 0 } in
   Pdm.write_one m a (block_of m [ 21 ]);
   Pdm.write_one m b (block_of m [ 22 ]);
-  ignore (Cache.read c [ a; b ]);
+  ignore (Cache.read c [| a; b |]);
   check "both resident" 2 (Cache.resident c);
   Pdm.damage_stored m a ~replica:0;
   let r = Pdm.scrub m in
@@ -462,7 +479,7 @@ let test_cache_coherent_after_scrub_repair () =
   checkb "untouched block still resident" true
     (Cache.find_cached c b <> None);
   Alcotest.(check (option int)) "re-read sees repaired data" (Some 21)
-    (Cache.read_one c a).(0)
+    (Cache.read c [| a |]).(0).(0)
 
 (* --- the E18 experiment itself, at test scale --- *)
 
@@ -798,7 +815,12 @@ let prop_daemon_packing_matches_reference =
    current signatures. It serves lookups only, from a plan given as
    lists. *)
 module Reference = struct
-  module Addr_tbl = Pdm.Addr_tbl
+  module Addr_tbl = Hashtbl.Make (struct
+    type t = Pdm.addr
+
+    let equal (a : t) (b : t) = a.disk = b.disk && a.block = b.block
+    let hash (a : t) = (a.block * 65_599) + a.disk
+  end)
 
   type blocks = (Pdm.addr * int option array) list
 
@@ -1367,6 +1389,8 @@ let suite =
          test_read_preferring_validates_duplicates;
        tc "sanitizer: a written view is caught" `Quick
          test_sanitizer_catches_written_view;
+       tc "sanitizer: a write runs the view check" `Quick
+         test_sanitizer_write_checks_views;
        tc "sanitizer: read-only plans unchanged" `Quick
          test_sanitizer_view_check_is_transparent ]);
     ("cache.coherence",

@@ -166,8 +166,8 @@ let test_retry_overlaps_other_disks () =
   in
   ignore
     (Pdm.read t
-       [ { Pdm.disk = 0; block = 0 }; { Pdm.disk = 1; block = 0 };
-         { Pdm.disk = 1; block = 1 } ]);
+       [| { Pdm.disk = 0; block = 0 }; { Pdm.disk = 1; block = 0 };
+         { Pdm.disk = 1; block = 1 } |]);
   check "max(2, 2) rounds" 2 (ios t)
 
 let test_retries_exhausted () =
@@ -195,8 +195,8 @@ let test_straggler_charges_k () =
   (* Parallel request: healthy disks hide inside the straggler's k. *)
   ignore
     (Pdm.read t
-       [ { Pdm.disk = 0; block = 1 }; { Pdm.disk = 1; block = 1 };
-         { Pdm.disk = 2; block = 1 } ]);
+       [| { Pdm.disk = 0; block = 1 }; { Pdm.disk = 1; block = 1 };
+         { Pdm.disk = 2; block = 1 } |]);
   check "3 more rounds" 6 (ios t);
   (* Writes straggle too. *)
   Pdm.write_one t { Pdm.disk = 1; block = 2 } (block_of t [ 9 ]);
@@ -206,7 +206,7 @@ let test_straggler_queue_serialises () =
   let faults = Fault.spec ~stragglers:[ (0, 2) ] () in
   let t : int Pdm.t = mk ~faults () in
   ignore
-    (Pdm.read t (List.init 3 (fun b -> { Pdm.disk = 0; block = b })));
+    (Pdm.read t (Array.init 3 (fun b -> { Pdm.disk = 0; block = b })));
   check "3 blocks x 2 rounds" 6 (ios t)
 
 let test_failed_disk_raises () =
@@ -232,7 +232,8 @@ let test_head_model_straggler () =
   (* Two blocks on the slow disk, two channels: both transfers run in
      parallel, each occupying 2 rounds. *)
   ignore
-    (Pdm.read t [ { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 } ]);
+    (Pdm.read t
+       [| { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 } |]);
   check "2 rounds" 2 (ios t)
 
 (* --- faults disabled: scheduler equals closed form --- *)
@@ -243,8 +244,8 @@ let test_traced_machine_same_costs () =
   let run t =
     ignore
       (Pdm.read t
-         [ { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
-           { Pdm.disk = 1; block = 0 }; { Pdm.disk = 3; block = 7 } ]);
+         [| { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
+           { Pdm.disk = 1; block = 0 }; { Pdm.disk = 3; block = 7 } |]);
     Pdm.write t
       (List.init 4 (fun d -> ({ Pdm.disk = d; block = 2 }, block_of t [ d ])));
     ignore (Pdm.read_one t { Pdm.disk = 2; block = 2 });
@@ -378,7 +379,7 @@ let test_jsonl_file_roundtrip_matches_stats () =
   let rng = Pdm_util.Prng.create 9 in
   for _ = 1 to 200 do
     let addrs =
-      List.init
+      Array.init
         (1 + Pdm_util.Prng.int rng 6)
         (fun _ ->
           { Pdm.disk = Pdm_util.Prng.int rng 4;
@@ -508,8 +509,8 @@ let test_stats_per_disk () =
   let t : int Pdm.t = mk ~disks:3 () in
   ignore
     (Pdm.read t
-       [ { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
-         { Pdm.disk = 2; block = 0 } ]);
+       [| { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
+         { Pdm.disk = 2; block = 0 } |]);
   Pdm.write_one t { Pdm.disk = 1; block = 0 } (block_of t [ 1 ]);
   let s = Stats.snapshot (Pdm.stats t) in
   Alcotest.(check (array int)) "per-disk reads" [| 2; 0; 1 |] s.Stats.disk_reads;

@@ -518,7 +518,7 @@ let small_workload t =
       { Pdm.disk = 1; block = 0 }; { Pdm.disk = 2; block = 5 } ]
   in
   Pdm.write t (List.map (fun a -> (a, block_of t [ a.Pdm.block ])) addrs);
-  ignore (Pdm.read t addrs);
+  ignore (Pdm.read t (Array.of_list addrs));
   ignore (Pdm.read_one t { Pdm.disk = 2; block = 5 });
   Stats.parallel_ios (Stats.snapshot (Pdm.stats t))
 

@@ -47,7 +47,7 @@ let test_replicated_read_cost_matches_plain () =
   let run t =
     List.iter (fun a -> Pdm.poke t a (block_of t [ a.Pdm.block ])) addrs;
     Stats.reset (Pdm.stats t);
-    ignore (Pdm.read t addrs);
+    ignore (Pdm.read t (Array.of_list addrs));
     ios t
   in
   check "same read rounds" (run (mk ())) (run (mk ~replicas:2 ()))
@@ -499,8 +499,8 @@ let test_healthy_cost_identity () =
       (List.init 4 (fun d -> ({ Pdm.disk = d; block = 0 }, block_of t [ d ])));
     ignore
       (Pdm.read t
-         [ { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
-           { Pdm.disk = 2; block = 0 } ]);
+         [| { Pdm.disk = 0; block = 0 }; { Pdm.disk = 0; block = 1 };
+           { Pdm.disk = 2; block = 0 } |]);
     ignore (Pdm.read_one t { Pdm.disk = 3; block = 7 });
     Stats.snapshot (Pdm.stats t)
   in

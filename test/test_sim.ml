@@ -279,7 +279,7 @@ let test_trace_fold_streaming () =
       (List.init 4 (fun d ->
            ({ Pdm.disk = d; block = b }, Array.make 8 (Some (d + b)))))
   done;
-  ignore (Pdm.read m (List.init 4 (fun d -> { Pdm.disk = d; block = 0 })));
+  ignore (Pdm.read m (Array.init 4 (fun d -> { Pdm.disk = d; block = 0 })));
   let path = Filename.temp_file "pdm_sim_trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
