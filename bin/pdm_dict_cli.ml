@@ -8,9 +8,6 @@ open Cmdliner
 open Pdm_experiments
 module Store = Pdm_io.Store
 
-(* real-I/O backends available wherever a --backend flag appears *)
-let () = Store.install ()
-
 let resolve_backend kind =
   match String.lowercase_ascii kind with
   | "mem" -> Ok None

@@ -13,13 +13,14 @@ type config = {
      [0] kind (1 = leaf, 0 = internal)
      [1] entry count m
      [2] leaf: next-leaf index + 1 (0 = none); internal: unused
-     leaf entry e:      3 + e·(1+vw) : key, value words
+     leaf entry e:      a Codec.Record (key, value words) at
+                        3 + e·width
      internal:          children at 3+2i, separator keys at 3+2i+1;
                         m keys, m+1 children. *)
 type t = {
   cfg : config;
   view : int Striping.t;
-  vw : int;                    (* value words *)
+  width : int;                 (* words per leaf entry *)
   leaf_cap : int;              (* max entries per leaf *)
   int_cap : int;               (* max keys per internal node *)
   mutable root : int;
@@ -35,16 +36,16 @@ let create ~machine cfg =
   if cfg.superblocks > Striping.superblocks view then
     invalid_arg "Btree.create: machine too small";
   let sb = Striping.superblock_size view in
-  let vw = Codec.words_for_bits (8 * cfg.value_bytes) in
+  let width = Codec.Record.width ~value_bytes:cfg.value_bytes in
   (* One spare entry per node: splits insert first and divide after,
      so a node must briefly hold capacity + 1 entries. *)
-  let leaf_cap = ((sb - header) / (1 + vw)) - 1 in
+  let leaf_cap = ((sb - header) / width) - 1 in
   let int_cap = (sb - header - 3) / 2 in
   if leaf_cap < 2 || int_cap < 2 then
     invalid_arg "Btree.create: superblock too small for a node";
   let t =
-    { cfg; view; vw; leaf_cap; int_cap; root = 0; height = 1; next_free = 1;
-      size = 0 }
+    { cfg; view; width; leaf_cap; int_cap; root = 0; height = 1;
+      next_free = 1; size = 0 }
   in
   (* Empty root leaf. *)
   let node = Array.make sb None in
@@ -90,22 +91,27 @@ let read_node t ~depth idx =
 
 (* --- leaf entry accessors --- *)
 
-let leaf_key node t e = get_w node (header + (e * (1 + t.vw)))
+let entry_base t e = header + (e * t.width)
+
+let leaf_key node t e = get_w node (entry_base t e)
 
 let leaf_value node t e =
-  let base = header + (e * (1 + t.vw)) + 1 in
-  Codec.bytes_of_words_len
-    (Array.init t.vw (fun i -> get_w node (base + i)))
-    ~len:t.cfg.value_bytes
+  let base = entry_base t e in
+  Codec.Record.value ~value_bytes:t.cfg.value_bytes
+    (Array.init t.width (fun i -> get_w node (base + i)))
 
-let leaf_set t node e key value_words =
-  let base = header + (e * (1 + t.vw)) in
-  node.(base) <- Some key;
-  Array.iteri (fun i w -> node.(base + 1 + i) <- Some w) value_words
+let leaf_set t node e record =
+  let base = entry_base t e in
+  Array.iteri (fun i w -> node.(base + i) <- Some w) record
+
+(* Move entries [from, from + n) of [src] to start at entry [dst_e] of
+   [dst], whole records at a time (the ranges may overlap). *)
+let move_entries t src ~from dst ~dst_e n =
+  Array.blit src (entry_base t from) dst (entry_base t dst_e) (n * t.width)
 
 let leaf_blank t node e =
-  let base = header + (e * (1 + t.vw)) in
-  for i = 0 to t.vw do
+  let base = entry_base t e in
+  for i = 0 to t.width - 1 do
     node.(base + i) <- None
   done
 
@@ -163,34 +169,23 @@ let find t key =
 
 let mem t key = find t key <> None
 
-let value_words_of t value =
-  if Bytes.length value > t.cfg.value_bytes then
-    invalid_arg "Btree: value too large";
-  let padded = Bytes.make t.cfg.value_bytes '\000' in
-  Bytes.blit value 0 padded 0 (Bytes.length value);
-  Codec.words_of_bytes padded
-
-(* Insert into the subtree at [idx]; on split return
+(* Insert [record] into the subtree at [idx]; on split return
    (separator, new right sibling index). *)
-let rec insert_at t idx depth key vwords =
+let rec insert_at t idx depth record =
+  let key = record.(0) in
   let node = read_node t ~depth idx in
   if is_leaf node then begin
     let e, found = leaf_position t node key in
     let m = count node in
     if found then begin
-      leaf_set t node e key vwords;
+      leaf_set t node e record;
       Striping.write t.view idx node;
       None
     end
     else begin
       (* Shift entries right and place. *)
-      for j = m - 1 downto e do
-        let k = leaf_key node t j in
-        let base = header + (j * (1 + t.vw)) + 1 in
-        let vws = Array.init t.vw (fun i -> get_w node (base + i)) in
-        leaf_set t node (j + 1) k vws
-      done;
-      leaf_set t node e key vwords;
+      move_entries t node ~from:e node ~dst_e:(e + 1) (m - e);
+      leaf_set t node e record;
       node.(1) <- Some (m + 1);
       t.size <- t.size + 1;
       if m + 1 <= t.leaf_cap then begin
@@ -207,12 +202,7 @@ let rec insert_at t idx depth key vwords =
         right.(0) <- Some 1;
         right.(1) <- Some (total - left_n);
         right.(2) <- node.(2);
-        for j = left_n to total - 1 do
-          let k = leaf_key node t j in
-          let base = header + (j * (1 + t.vw)) + 1 in
-          let vws = Array.init t.vw (fun i -> get_w node (base + i)) in
-          leaf_set t right (j - left_n) k vws
-        done;
+        move_entries t node ~from:left_n right ~dst_e:0 (total - left_n);
         for j = left_n to total - 1 do
           leaf_blank t node j
         done;
@@ -226,7 +216,7 @@ let rec insert_at t idx depth key vwords =
   end
   else begin
     let ci = child_index node key in
-    match insert_at t (child node ci) (depth + 1) key vwords with
+    match insert_at t (child node ci) (depth + 1) record with
     | None -> None
     | Some (sep, right_child) ->
       let m = count node in
@@ -275,8 +265,10 @@ let rec insert_at t idx depth key vwords =
 
 let insert t key value =
   if key < 0 || key >= t.cfg.universe then invalid_arg "Btree: key range";
-  let vwords = value_words_of t value in
-  match insert_at t t.root 0 key vwords with
+  let record =
+    Codec.Record.make ~who:"Btree" ~value_bytes:t.cfg.value_bytes key value
+  in
+  match insert_at t t.root 0 record with
   | None -> ()
   | Some (sep, right_idx) ->
     let new_root = alloc t in
@@ -300,12 +292,7 @@ let delete t key =
       if not found then false
       else begin
         let m = count node in
-        for j = e to m - 2 do
-          let k = leaf_key node t (j + 1) in
-          let base = header + ((j + 1) * (1 + t.vw)) + 1 in
-          let vws = Array.init t.vw (fun i -> get_w node (base + i)) in
-          leaf_set t node j k vws
-        done;
+        move_entries t node ~from:(e + 1) node ~dst_e:e (m - 1 - e);
         leaf_blank t node (m - 1);
         node.(1) <- Some (m - 1);
         Striping.write t.view idx node;

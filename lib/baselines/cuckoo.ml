@@ -28,7 +28,7 @@ type t = {
   kick_rng : Prng.t;
 }
 
-let width_of cfg = 1 + Codec.words_for_bits (8 * cfg.value_bytes)
+let width_of cfg = Codec.Record.width ~value_bytes:cfg.value_bytes
 
 let plan ?(utilization = 0.4) ~universe ~capacity ~block_words ~disks
     ~value_bytes ~seed () =
@@ -87,17 +87,10 @@ let read_both t key =
   in
   ((p0, assemble t blocks ~off:0), (p1, assemble t blocks ~off:t.half))
 
-let value_of t record =
-  Codec.bytes_of_words_len
-    (Array.sub record 1 (t.width - 1))
-    ~len:t.cfg.value_bytes
+let value_of t record = Codec.Record.value ~value_bytes:t.cfg.value_bytes record
 
 let record_of t key value =
-  if Bytes.length value > t.cfg.value_bytes then
-    invalid_arg "Cuckoo: value too large";
-  let padded = Bytes.make t.cfg.value_bytes '\000' in
-  Bytes.blit value 0 padded 0 (Bytes.length value);
-  Array.append [| key |] (Codec.words_of_bytes padded)
+  Codec.Record.make ~who:"Cuckoo" ~value_bytes:t.cfg.value_bytes key value
 
 let find t key =
   let (_, img0), (_, img1) = read_both t key in

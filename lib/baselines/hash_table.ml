@@ -22,7 +22,7 @@ type t = {
   mutable size : int;
 }
 
-let width_of cfg = 1 + Codec.words_for_bits (8 * cfg.value_bytes)
+let width_of cfg = Codec.Record.width ~value_bytes:cfg.value_bytes
 
 let plan ?(utilization = 0.5) ~universe ~capacity ~block_words ~disks
     ~value_bytes ~seed () =
@@ -53,17 +53,8 @@ let size t = t.size
 
 let home t key = Prng.hash_to_range ~seed:t.cfg.seed key 0 t.cfg.superblocks
 
-let value_of t record =
-  Codec.bytes_of_words_len
-    (Array.sub record 1 (t.width - 1))
-    ~len:t.cfg.value_bytes
-
 let record_of t key value =
-  if Bytes.length value > t.cfg.value_bytes then
-    invalid_arg "Hash_table: value too large";
-  let padded = Bytes.make t.cfg.value_bytes '\000' in
-  Bytes.blit value 0 padded 0 (Bytes.length value);
-  Array.append [| key |] (Codec.words_of_bytes padded)
+  Codec.Record.make ~who:"Hash_table" ~value_bytes:t.cfg.value_bytes key value
 
 (* Probe superblocks from home until [stop] decides; each hop is one
    parallel I/O. *)
@@ -86,23 +77,13 @@ let probe t key stop =
   in
   hop (home t key) 0
 
-let find_slot block t key =
-  let rec loop s =
-    if s >= t.slots then None
-    else
-      match block.(s * t.width) with
-      | Some k when k = key -> Some s
-      | Some _ | None -> loop (s + 1)
-  in
-  loop 0
-
 let find t key =
   probe t key (fun _ block _ ->
-      match find_slot block t key with
+      match Codec.Slots.find_key block ~width:t.width ~key with
       | Some s ->
-        (match Codec.Slots.read block ~width:t.width s with
-         | Some record -> Some (value_of t record)
-         | None -> None)
+        Option.map
+          (Codec.Record.value ~value_bytes:t.cfg.value_bytes)
+          (Codec.Slots.read block ~width:t.width s)
       | None -> None)
 
 let mem t key = find t key <> None
@@ -124,7 +105,7 @@ let insert t key value =
     if dist >= t.cfg.superblocks then `Chain_exhausted
     else begin
       let block = Striping.read t.view (t.cfg.base + sb) in
-      match find_slot block t key with
+      match Codec.Slots.find_key block ~width:t.width ~key with
       | Some s ->
         Codec.Slots.write block ~width:t.width s (Some record);
         Striping.write t.view (t.cfg.base + sb) block;
@@ -157,7 +138,7 @@ let insert t key value =
 let delete t key =
   let hit =
     probe t key (fun sb block _ ->
-        match find_slot block t key with
+        match Codec.Slots.find_key block ~width:t.width ~key with
         | Some s ->
           let tombstone = Array.make t.width 0 in
           tombstone.(0) <- t.tomb;
@@ -188,7 +169,7 @@ let probe_distance_now t key =
     if dist >= t.cfg.superblocks then dist
     else begin
       let block = peek_sb sb in
-      match find_slot block t key with
+      match Codec.Slots.find_key block ~width:t.width ~key with
       | Some _ -> dist
       | None ->
         let has_virgin = ref false in

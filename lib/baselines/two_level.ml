@@ -23,13 +23,14 @@ type t = {
   mutable size : int;
 }
 
-let width_of cfg = 1 + Codec.words_for_bits (8 * cfg.value_bytes)
+let width_of cfg = Codec.Record.width ~value_bytes:cfg.value_bytes
 
-let plan ?(slot_factor = 8) ~universe ~capacity ~block_words ~disks
-    ~value_bytes ~seed () =
+(* Primary slots per expected key. *)
+let slot_factor = 8
+
+let plan ~universe ~capacity ~block_words ~disks ~value_bytes ~seed () =
   ignore block_words;
   ignore disks;
-  if slot_factor < 2 then invalid_arg "Two_level.plan: slot_factor >= 2";
   { universe; capacity; value_bytes; primary_slots = slot_factor * capacity;
     seed }
 
@@ -68,17 +69,10 @@ let slot_of t key =
   let p = Prng.hash_to_range ~seed:t.cfg.seed key 1 t.cfg.primary_slots in
   (p / t.slots_per_sb, p mod t.slots_per_sb)
 
-let value_of t record =
-  Codec.bytes_of_words_len
-    (Array.sub record 1 (t.width - 1))
-    ~len:t.cfg.value_bytes
+let value_of t record = Codec.Record.value ~value_bytes:t.cfg.value_bytes record
 
 let record_of t key value =
-  if Bytes.length value > t.cfg.value_bytes then
-    invalid_arg "Two_level: value too large";
-  let padded = Bytes.make t.cfg.value_bytes '\000' in
-  Bytes.blit value 0 padded 0 (Bytes.length value);
-  Array.append [| key |] (Codec.words_of_bytes padded)
+  Codec.Record.make ~who:"Two_level" ~value_bytes:t.cfg.value_bytes key value
 
 let find t key =
   let sb, s = slot_of t key in

@@ -25,7 +25,6 @@ type config = {
 type t
 
 val plan :
-  ?slot_factor:int ->
   universe:int ->
   capacity:int ->
   block_words:int ->
@@ -34,8 +33,8 @@ val plan :
   seed:int ->
   unit ->
   config
-(** [slot_factor] (default 8) primary slots per expected key: larger
-    means fewer collisions, i.e. smaller ɛ. *)
+(** 8 primary slots per expected key: more would mean fewer
+    collisions, i.e. smaller ɛ. *)
 
 val create : machine:int Pdm_sim.Pdm.t -> config -> t
 (** The primary table uses a leading range of superblocks, the

@@ -14,6 +14,11 @@
       block);
     - insertions and deletions add one write round.
 
+    The placement rule, the record slots and the size accounting are
+    {!Bucket_store}'s, with the d neighbor buckets as the candidates;
+    this module adds the striped layout, the fetch and the
+    diagnostics.
+
     Several dictionaries can share one machine at different disk and
     block offsets; {!fill_addresses} and {!find_in} let a composite
     structure (Sections 4.2a, 4.3, global rebuilding) fetch many
@@ -36,12 +41,12 @@ type config = {
 type t
 
 exception Overflow of int
-(** Raised by {!insert} when every bucket of Γ(x) is full — i.e. the
-    chosen parameters violate the expansion assumption behind
-    Lemma 3. The payload is the offending key. *)
+(** {!Bucket_store.Overflow}, the one exception of the three bucket
+    dictionaries: raised by {!insert} when the least-loaded bucket of
+    Γ(x) is full — i.e. the chosen parameters violate the expansion
+    assumption behind Lemma 3. The payload is the offending key. *)
 
 val plan :
-  ?load_slack:float ->
   ?bucket_blocks:int ->
   ?tombstone:bool ->
   universe:int ->
@@ -53,9 +58,9 @@ val plan :
   unit ->
   config
 (** Compute a configuration whose buckets ([bucket_blocks] blocks
-    each, default 1) are sized so that Lemma 3's bound times
-    [load_slack] (default 1.25) fits the per-bucket slot count; v is
-    the smallest multiple of [degree] that achieves this. Multi-block
+    each, default 1) are sized so that Lemma 3's bound times a fixed
+    slack of 1.25 fits the per-bucket slot count; v is the smallest
+    multiple of [degree] that achieves this. Multi-block
     buckets serve the small-B regime: operations then cost
     [bucket_blocks] read rounds — still O(1). *)
 

@@ -47,6 +47,23 @@ let words_of_bytes bytes = words_of_bits bytes ~nbits:(8 * Bytes.length bytes)
 
 let bytes_of_words_len words ~len = bytes_of_words words ~nbits:(8 * len)
 
+module Record = struct
+  let width ~value_bytes = 1 + words_for_bits (8 * value_bytes)
+
+  (* pdm-lint: domain local — pads the value into a buffer this call allocates *)
+  let make ~who ~value_bytes key value =
+    if Bytes.length value > value_bytes then
+      invalid_arg (who ^ ": value too large");
+    let padded = Bytes.make value_bytes '\000' in
+    Bytes.blit value 0 padded 0 (Bytes.length value);
+    Array.append [| key |] (words_of_bytes padded)
+
+  let value ~value_bytes record =
+    bytes_of_words_len
+      (Array.sub record 1 (Array.length record - 1))
+      ~len:value_bytes
+end
+
 module Slots = struct
   let per_block ~block_words ~width =
     if width < 1 then invalid_arg "Codec.Slots.per_block: width";
@@ -100,16 +117,6 @@ module Slots = struct
       else loop (i + 1)
     in
     loop 0
-
-  let find_key_in blocks ~width ~key =
-    let rec go i =
-      if i >= Array.length blocks then None
-      else
-        match find_key blocks.(i) ~width ~key with
-        | Some s -> Some (i, s)
-        | None -> go (i + 1)
-    in
-    go 0
 
   let least_loaded blocks ~width =
     let best = ref 0 and fewest = ref max_int in

@@ -7,10 +7,13 @@
     APIs as [Bytes.t]; internally it is packed into 32-bit words so
     that space accounting stays exact.
 
-    Two layouts are provided:
+    Three layouts are provided:
 
     - packed bit strings ↔ word arrays ({!words_of_bits},
       {!bytes_of_words}) for the bit-exact fields of Section 4.2;
+    - the record format ({!Record}) of every dictionary and baseline
+      that stores a key with its value inline: the key word, then the
+      value zero-padded to [value_bytes] and packed into 32-bit words;
     - fixed-width records inside a block ({!Slots}) for the bucket
       dictionaries: a record of [width] words occupies [width]
       consecutive cells, the first cell holding the key; an empty slot
@@ -36,6 +39,20 @@ val words_of_bytes : Bytes.t -> int array
 val bytes_of_words_len : int array -> len:int -> Bytes.t
 (** Unpack exactly [len] bytes. *)
 
+module Record : sig
+  val width : value_bytes:int -> int
+  (** Words per record: 1 (the key) + ⌈8 × value_bytes / 32⌉. *)
+
+  val make : who:string -> value_bytes:int -> int -> Bytes.t -> int array
+  (** [make ~who ~value_bytes key value] is the record of [key] with
+      [value] zero-padded to [value_bytes]. Raises
+      [Invalid_argument (who ^ ": value too large")] when the value is
+      longer. *)
+
+  val value : value_bytes:int -> int array -> Bytes.t
+  (** The [value_bytes] bytes a record holds after its key. *)
+end
+
 module Slots : sig
   val per_block : block_words:int -> width:int -> int
   (** Records of [width] words that fit in one block (remainder cells
@@ -55,11 +72,6 @@ module Slots : sig
   (** Index of the slot whose first word is [key], if any. *)
 
   val first_free : int option array -> width:int -> int option
-
-  val find_key_in :
-    int option array array -> width:int -> key:int -> (int * int) option
-  (** [Some (i, s)]: block [i] is the first holding [key], in slot
-      [s]. *)
 
   val least_loaded : int option array array -> width:int -> int
   (** Position of the first block with the fewest occupied slots (0

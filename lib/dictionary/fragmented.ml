@@ -37,8 +37,11 @@ let width_of cfg = 2 + Codec.words_for_bits (frag_bits cfg)
 
 let blocks_per_disk cfg = cfg.buckets_per_stripe
 
-let plan ?(load_slack = 1.25) ?(strategy = `Bound) ~universe ~capacity
-    ~block_words ~degree ~sigma_bits ~seed () =
+(* [`Bound] pads Lemma 3's bound by this factor. *)
+let load_slack = 1.25
+
+let plan ?(strategy = `Bound) ~universe ~capacity ~block_words ~degree
+    ~sigma_bits ~seed () =
   let cfg0 =
     { universe; capacity; degree; sigma_bits; buckets_per_stripe = 1; seed }
   in

@@ -31,7 +31,6 @@ exception Overflow of int
     the Lemma 3 guarantee. *)
 
 val plan :
-  ?load_slack:float ->
   ?strategy:[ `Bound | `Average of float ] ->
   universe:int ->
   capacity:int ->
@@ -43,7 +42,7 @@ val plan :
   config
 (** Size buckets (one block each) so the fragment slots accommodate
     the expected load. [`Bound] (default) uses Lemma 3's closed form
-    padded by [load_slack] (default 1.25) — fully worst-case safe, but
+    padded by a fixed slack of 1.25 — fully worst-case safe, but
     the bound's additive log term is loose, so it needs large blocks.
     [`Average f] sizes buckets at [f] times the average load kN/v —
     the paper's own parameterization (v = kN/log N with load

@@ -14,11 +14,18 @@
     neighbor buckets in ⌈d/D⌉ rounds (1 when D ≥ d), and no right-side
     copies are needed. Combined with {!Pdm_expander.Semi_explicit},
     this realises the paper's "semi-explicit expanders suffice in the
-    disk head model without the factor-d space penalty". *)
+    disk head model without the factor-d space penalty".
+
+    Each neighbor is a one-block bucket of a {!Bucket_store}, which
+    holds the records and runs the placement rule. A lookup fetches
+    through [Pdm.read]: an unstriped graph can name one bucket twice,
+    which [Pdm.read] transfers once and [Pdm.read_views] rejects. *)
 
 type t
 
 exception Overflow of int
+(** {!Bucket_store.Overflow}: the least-loaded neighbor bucket is
+    full. *)
 
 val create :
   machine:int Pdm_sim.Pdm.t ->

@@ -7,17 +7,19 @@
     constant-time bucket operations. In I/O terms we realise the same
     constant-rounds guarantee with a second level of choices:
 
-    - each bucket spans [sub_blocks] blocks on its disk;
-    - a key has [probes] candidate sub-blocks per bucket (seeded
-      hashes), so a lookup reads probes × d blocks — at most [probes]
-      per disk — in exactly [probes] parallel rounds for {e any} B;
-    - insertion runs greedy placement over all probes × d candidate
-      sub-blocks (a (probes·d)-choice balancing scheme at sub-block
+    - each bucket spans [sub_blocks] (= 4) blocks on its disk;
+    - a key has 2 distinct candidate sub-blocks per bucket (seeded
+      hashes), so a lookup reads 2d blocks — 2 per disk — in exactly
+      2 parallel rounds for {e any} B;
+    - insertion runs greedy placement over all 2d candidate
+      sub-blocks (a 2d-choice balancing scheme at sub-block
       granularity), keeping every sub-block within its slots.
 
-    With [probes] = 2 (the default) this gives 2-round lookups and
-    3-round updates at block sizes where the flat layout needs 4+
-    rounds — experiment E6 shows the crossover. *)
+    This gives 2-round lookups and 3-round updates at block sizes
+    where the flat layout needs 4+ rounds — experiment E6 shows the
+    crossover. Each candidate sub-block is a one-block bucket of a
+    {!Bucket_store}, which holds the records and runs the placement
+    rule. *)
 
 type config = {
   universe : int;
@@ -25,7 +27,6 @@ type config = {
   degree : int;
   buckets_per_stripe : int;
   sub_blocks : int;       (** blocks per bucket *)
-  probes : int;           (** candidate sub-blocks per bucket *)
   value_bytes : int;
   seed : int;
 }
@@ -33,10 +34,10 @@ type config = {
 type t
 
 exception Overflow of int
+(** {!Bucket_store.Overflow}: the least-loaded candidate sub-block is
+    full. *)
 
 val plan :
-  ?avg_slack:float ->
-  ?probes:int ->
   universe:int ->
   capacity:int ->
   block_words:int ->
@@ -46,9 +47,9 @@ val plan :
   unit ->
   config
 (** Choose bucket and sub-block counts so each sub-block's expected
-    load is its slot count divided by [avg_slack] (default 3.0 — the
-    multi-choice scheme concentrates hard, and {!insert} still raises
-    {!Overflow} if the assumption fails). *)
+    load is its slot count divided by 3 (the multi-choice scheme
+    concentrates hard, and {!insert} still raises {!Overflow} if the
+    assumption fails). *)
 
 val create :
   machine:int Pdm_sim.Pdm.t -> disk_offset:int -> block_offset:int ->
@@ -63,12 +64,12 @@ val size : t -> int
 val slots_per_sub_block : t -> int
 
 val find : t -> int -> Bytes.t option
-(** [probes] parallel read rounds, worst case, for any B. *)
+(** 2 parallel read rounds, worst case, for any B. *)
 
 val mem : t -> int -> bool
 
 val insert : t -> int -> Bytes.t -> unit
-(** [probes] read rounds + 1 write round. *)
+(** 2 read rounds + 1 write round. *)
 
 val delete : t -> int -> bool
 

@@ -6,8 +6,6 @@ module One_probe = Pdm_dictionary.One_probe_static
 module Sampling = Pdm_util.Sampling
 module Prng = Pdm_util.Prng
 
-let value_words value_bytes = Pdm_dictionary.Codec.words_for_bits (8 * value_bytes)
-
 type tie_point = { rule : string; max_load : int }
 
 type vfactor_point = {
@@ -83,7 +81,7 @@ let degree_study ~seed =
     concerns worst-case key sets; on sampled sets the threshold is
      flat in u — the whp behaviour of random(ized) constructions. *)
   let n = 1000 and block_words = 16 and value_bytes = 8 in
-  let slots = block_words / (1 + value_words value_bytes) in
+  let slots = block_words / Pdm_dictionary.Codec.Record.width ~value_bytes in
   (* load factor 0.8: buckets hold 5 records, average load 4 *)
   let total_buckets = n / (slots - 1) in
   List.map

@@ -5,10 +5,8 @@
    turns it into the geometry-blind factory Pdm.create consumes. With
    no explicit directory each machine gets a fresh scratch directory
    (removed at process exit); with [~dir] the files persist — that is
-   how crash tests reopen a "dead process's" state. [install] puts
-   the kinds into the machine layer's registry for --backend flags. *)
-
-module Backend_registry = Pdm_sim.Backend_registry
+   how crash tests reopen a "dead process's" state. Front ends
+   resolve a --backend flag through [factory_of_string]. *)
 
 type kind = Mem | File | Mmap
 
@@ -20,8 +18,6 @@ let kind_of_string s =
   | "file" -> Ok File
   | "mmap" -> Ok Mmap
   | other -> Error (Printf.sprintf "unknown backend %S (mem|file|mmap)" other)
-
-let all_kinds = [ "mem"; "file"; "mmap" ]
 
 type spec = { kind : kind; dir : string option; direct : bool }
 
@@ -102,18 +98,3 @@ let factory spec : int Pdm_sim.Backend.factory =
 
 let factory_of_string s =
   Result.map (fun kind -> factory (spec kind)) (kind_of_string s)
-
-(* --- registry ----------------------------------------------------- *)
-
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Backend_registry.register ~kind:"file"
-      ~doc:"preallocated file per disk, pread/pwrite + fsync barriers"
-      (fun () -> factory (spec File));
-    Backend_registry.register ~kind:"mmap"
-      ~doc:"shared file mapping per disk, in-place codec + msync barriers"
-      (fun () -> factory (spec Mmap))
-  end

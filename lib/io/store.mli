@@ -16,9 +16,6 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> (kind, string) result
 (** Case-insensitive; the [Error] lists the accepted names. *)
 
-val all_kinds : string list
-(** [["mem"; "file"; "mmap"]] — for CLI doc strings. *)
-
 type spec = private { kind : kind; dir : string option; direct : bool }
 
 val spec : ?dir:string -> ?direct:bool -> kind -> spec
@@ -47,8 +44,3 @@ val with_dir : ?prefix:string -> (string -> 'a) -> 'a
 val cleanup_dir : string -> unit
 (** Remove a directory and everything under it. No-op when it does
     not exist. *)
-
-val install : unit -> unit
-(** Register the ["file"] and ["mmap"] kinds in
-    {!Pdm_sim.Backend_registry} (idempotent). Front ends call this
-    once before resolving a [--backend] flag. *)

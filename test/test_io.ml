@@ -3,12 +3,11 @@
    mem<->file<->mmap differential (byte-identical answers, identical
    round/IO charges), journal crash durability across a process
    "restart" (a fresh machine over the same directory), the scratch
-   directory cleanup guard, and the backend registry. *)
+   directory cleanup guard, and backend resolution by name. *)
 
 module Pdm = Pdm_sim.Pdm
 module Journal = Pdm_sim.Journal
 module Stats = Pdm_sim.Stats
-module Registry = Pdm_sim.Backend_registry
 module Codec = Pdm_io.Block_codec
 module Raw = Pdm_io.Raw_file
 module Backend = Pdm_sim.Backend
@@ -527,11 +526,11 @@ let test_with_dir_cleans_up_on_failure () =
 let test_cleanup_dir_missing_is_noop () =
   Store.cleanup_dir "/tmp/pdm-io-definitely-not-there-421337"
 
-(* --- registry + config wiring ------------------------------------- *)
+(* --- backend names + config wiring --------------------------------- *)
 
-let test_registry_resolves () =
-  Store.install ();
-  (match Registry.resolve "file" with
+(* The --backend resolution every front end uses. *)
+let test_backend_by_name () =
+  (match Store.factory_of_string "file" with
    | Error m -> Alcotest.fail m
    | Ok factory ->
      let m =
@@ -539,18 +538,18 @@ let test_registry_resolves () =
      in
      let a = { Pdm.disk = 1; block = 1 } in
      Pdm.write_one m a [| Some 1; None; Some 3; None |];
-     checkb "registry-resolved backend works" true
+     checkb "file-backed machine works" true
        (Pdm.read_one m a = [| Some 1; None; Some 3; None |]));
-  (match Registry.resolve "mem" with
-   | Ok _ -> ()
-   | Error m -> Alcotest.fail m);
-  (match Registry.resolve "florp" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "unknown kinds must not resolve");
-  let kinds = List.map fst (Registry.kinds ()) in
-  List.iter
-    (fun k -> checkb (k ^ " registered") true (List.mem k kinds))
-    [ "mem"; "file"; "mmap" ]
+  (match Store.factory_of_string "mem" with
+   | Error m -> Alcotest.fail m
+   | Ok factory ->
+     checkb "mem answers None (memory disks)" true
+       (Option.is_none (factory ~blocks:2 ~slots:4)));
+  match Store.factory_of_string "florp" with
+  | Ok _ -> Alcotest.fail "unknown kinds must not resolve"
+  | Error m ->
+    Alcotest.(check string) "the error names the accepted kinds"
+      {|unknown backend "florp" (mem|file|mmap)|} m
 
 let test_config_backend_field () =
   let cfg = { (Config.default Config.Basic) with Config.backend = "file" } in
@@ -618,6 +617,6 @@ let suite =
           test_with_dir_cleans_up_on_failure;
         Alcotest.test_case "cleanup_dir on missing path" `Quick
           test_cleanup_dir_missing_is_noop;
-        Alcotest.test_case "backend registry" `Quick test_registry_resolves;
+        Alcotest.test_case "backend by name" `Quick test_backend_by_name;
         Alcotest.test_case "sim config backend field" `Quick
           test_config_backend_field ] ) ]
