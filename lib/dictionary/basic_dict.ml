@@ -128,14 +128,16 @@ let bucket_addrs t ~stripe ~local =
 
 let plan_blocks t = Bucket_store.plan_blocks t.store
 
-(* Neighbor i lies in stripe i: its bucket's blocks go to plan
-   positions [i·bucket_blocks, …+bucket_blocks). *)
+(* Neighbor i lies in stripe i, at [neighbor - i·width]: its bucket's
+   blocks go to plan positions [i·bucket_blocks, …+bucket_blocks). *)
 (* pdm-lint: domain local — fills the caller's own plan array *)
 let fill_addresses t key dst ~off =
   let bb = t.cfg.bucket_blocks in
   let w = Bipartite.stripe_width t.graph in
   for i = 0 to t.cfg.degree - 1 do
-    let first = t.block_offset + (Bipartite.neighbor t.graph key i mod w * bb) in
+    let first =
+      t.block_offset + ((Bipartite.neighbor t.graph key i - (i * w)) * bb)
+    in
     for b = 0 to bb - 1 do
       dst.(off + (i * bb) + b) <-
         { Pdm.disk = t.disk_offset + i; block = first + b }

@@ -32,14 +32,14 @@ let record t key value =
    -1. *)
 let find_slot t key blocks ~off =
   let n = plan_blocks t in
-  let rec go j =
-    if j >= n then -1
-    else
-      match Codec.Slots.find_key blocks.(off + j) ~width:t.width ~key with
-      | Some s -> (j * t.slots_per_block) + s
-      | None -> go (j + 1)
-  in
-  go 0
+  let j = ref 0 and at = ref (-1) in
+  while !at < 0 && !j < n do
+    (match Codec.Slots.find_key blocks.(off + !j) ~width:t.width ~key with
+     | Some s -> at := (!j * t.slots_per_block) + s
+     | None -> ());
+    incr j
+  done;
+  !at
 
 let find_in t key blocks ~off =
   match find_slot t key blocks ~off with

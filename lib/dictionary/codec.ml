@@ -69,16 +69,20 @@ module Slots = struct
     if width < 1 then invalid_arg "Codec.Slots.per_block: width";
     block_words / width
 
+  (* Slot scans are plain loops: a lookup scans several blocks and
+     allocates nothing per block. *)
   let read block ~width i =
     let base = i * width in
     match block.(base) with
     | None -> None
     | Some _ ->
-      Some
-        (Array.init width (fun j ->
-             match block.(base + j) with
-             | Some w -> w
-             | None -> invalid_arg "Codec.Slots.read: corrupt slot"))
+      let record = Array.make width 0 in
+      for j = 0 to width - 1 do
+        match block.(base + j) with
+        | Some w -> record.(j) <- w
+        | None -> invalid_arg "Codec.Slots.read: corrupt slot"
+      done;
+      Some record
 
   (* pdm-lint: domain local — codec writes target freshly decoded per-call scratch blocks *)
   let write block ~width i record =
@@ -100,23 +104,24 @@ module Slots = struct
 
   let find_key (block : int option array) ~width ~(key : int) =
     let n = per_block ~block_words:(Array.length block) ~width in
-    let rec loop i =
-      if i >= n then None
-      else
-        match block.(i * width) with
-        | Some k when k = key -> Some i
-        | Some _ | None -> loop (i + 1)
-    in
-    loop 0
+    let i = ref 0 in
+    while
+      !i < n
+      && match block.(!i * width) with Some k -> k <> key | None -> true
+    do
+      incr i
+    done;
+    if !i < n then Some !i else None
 
   let first_free block ~width =
     let n = per_block ~block_words:(Array.length block) ~width in
-    let rec loop i =
-      if i >= n then None
-      else if block.(i * width) = None then Some i
-      else loop (i + 1)
-    in
-    loop 0
+    let i = ref 0 in
+    while
+      !i < n && match block.(!i * width) with Some _ -> true | None -> false
+    do
+      incr i
+    done;
+    if !i < n then Some !i else None
 
   let least_loaded blocks ~width =
     let best = ref 0 and fewest = ref max_int in

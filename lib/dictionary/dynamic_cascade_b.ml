@@ -76,8 +76,9 @@ let machine t = t.machine
 let levels t = Array.length t.arrays
 let size t = t.size
 
-let getter t level blocks key =
-  Field_store.neighbor_field t.arrays.(level - 1) blocks ~off:0 key
+(* The key's candidate fields at a level, read in place. *)
+let view t level blocks key =
+  Field_store.view t.arrays.(level - 1) blocks ~off:0 key
 
 let read_level t level key =
   Pdm.read_views t.machine (Field_store.addresses t.arrays.(level - 1) key)
@@ -102,7 +103,7 @@ let probe t key ~found ~missing =
       match
         Field_codec.decode_b ~field_bits:t.field_bits ~id_bits:t.id_bits
           ~sigma_bits:t.cfg.sigma_bits ~d:t.cfg.degree
-          (getter t level blocks key)
+          (view t level blocks key)
       with
       | Some (id, satellite) -> found level blocks id satellite
       | None -> go (level + 1)
@@ -120,22 +121,16 @@ let mem t key = find t key <> None
 (* The stripes whose field carries [id] — the key's own fields at its
    level (expansion makes the majority unambiguous). *)
 let stripes_of_id t level blocks key id =
-  let get = getter t level blocks key in
-  List.filter
-    (fun i ->
-      match get i with
-      | None -> false
-      | Some bytes ->
-        let r = Pdm_util.Bitbuf.Reader.of_bytes bytes in
-        Pdm_util.Bitbuf.Reader.read_bits r ~width:t.id_bits = id)
-    (List.init t.cfg.degree (fun i -> i))
+  Field_codec.indices_b ~id_bits:t.id_bits ~d:t.cfg.degree ~id
+    (view t level blocks key)
 
 let write_encoding t level blocks key ~id ~stripes satellite =
   let enc =
     Field_codec.encode_b ~field_bits:t.field_bits ~id_bits:t.id_bits ~id
       ~satellite ~sigma_bits:t.cfg.sigma_bits ~indices:stripes
   in
-  write_fields t level blocks key (List.map (fun (i, b) -> (i, Some b)) enc)
+  write_fields t level blocks key
+    (List.map (fun (i, words) -> (i, Some words)) enc)
 
 let insert t key satellite =
   if 8 * Bytes.length satellite < t.cfg.sigma_bits then
@@ -156,10 +151,10 @@ let insert t key satellite =
         if level > l then raise (Overflow key)
         else begin
           let blocks = read_level t level key in
-          let get = getter t level blocks key in
+          let v = view t level blocks key in
           let empties =
             List.filter
-              (fun i -> get i = None)
+              (fun i -> not (Field_codec.occupied v i))
               (List.init t.cfg.degree (fun i -> i))
           in
           if List.length empties >= t.m then begin

@@ -1,33 +1,171 @@
-module Bitbuf = Pdm_util.Bitbuf
 module Imath = Pdm_util.Imath
 
-type encoded = (int * Bytes.t) list
+type view = {
+  cells : int option array array;
+  off : int;
+  groups : int;
+  seg_words : int;
+  base : int -> int;
+}
 
-let field_bytes field_bits = Imath.cdiv field_bits 8
+type encoded = (int * int array) list
 
-(* Pad a writer's content out to exactly field_bits and return it. *)
-(* pdm-lint: domain local — field codec mutates per-call encode buffers *)
-let finish_field ~field_bits w =
-  if Bitbuf.Writer.length_bits w > field_bits then
-    invalid_arg "Field_codec: content exceeds field size";
-  let out = Bytes.make (field_bytes field_bits) '\000' in
-  let src = Bitbuf.Writer.contents w in
-  Bytes.blit src 0 out 0 (Bytes.length src);
-  out
+let corrupt () = invalid_arg "Field_codec: corrupt field"
 
-(* In chunks of at most 56 bits, well inside a read or write's 62. *)
-let rec copy_bits ~from ~into ~count =
-  if count > 0 then begin
-    let width = min 56 count in
-    Bitbuf.Writer.add_bits into ~value:(Bitbuf.Reader.read_bits from ~width)
-      ~width;
-    copy_bits ~from ~into ~count:(count - width)
+(* --- reading a field's words in place ------------------------------ *)
+
+(* A field is read at [at] = its first block and [base] = its first
+   cell, both resolved once per visit. *)
+let occupied_at v ~at ~base =
+  match v.cells.(at).(base) with Some _ -> true | None -> false
+
+(* Word [w] of the field at [at], [base]. *)
+let word v ~at ~base w =
+  let cell =
+    if w < v.seg_words then v.cells.(at).(base + w)
+    else v.cells.(at + (w / v.seg_words)).(base + (w mod v.seg_words))
+  in
+  match cell with Some x -> x | None -> corrupt ()
+
+(* [width] <= 32 bits of the field from bit [pos], most significant
+   first: at most two words. *)
+let bits v ~at ~base ~pos ~width =
+  if width = 0 then 0
+  else begin
+    let w = pos lsr 5 and avail = 32 - (pos land 31) in
+    let x = word v ~at ~base w land ((1 lsl avail) - 1) in
+    if width <= avail then x lsr (avail - width)
+    else
+      let rest = width - avail in
+      (x lsl rest) lor (word v ~at ~base (w + 1) lsr (32 - rest))
   end
 
-let satellite_reader satellite sigma_bits =
+(* [width] <= 62 bits from bit [pos]. *)
+let wide_bits v ~at ~base ~pos ~width =
+  if width <= 32 then bits v ~at ~base ~pos ~width
+  else
+    let high = width - 32 in
+    (bits v ~at ~base ~pos ~width:high lsl 32)
+    lor bits v ~at ~base ~pos:(pos + high) ~width:32
+
+(* The unary count at the start of the field: its leading ones. A zero
+   must come before bit [field_bits]. *)
+let unary v ~at ~base ~field_bits =
+  let n = ref 0 and x = ref 0 in
+  while
+    if !n >= field_bits then corrupt ();
+    if !n land 31 = 0 then x := word v ~at ~base (!n lsr 5);
+    (!x lsr (31 - (!n land 31))) land 1 = 1
+  do
+    incr n
+  done;
+  !n
+
+(* The satellite a decode is assembling: whole bytes go to [out], the
+   [pending] bits of a partial byte wait in [acc]. *)
+type sink = {
+  out : Bytes.t;
+  mutable bytes : int;
+  mutable acc : int;
+  mutable pending : int;
+}
+
+let sink ~sigma_bits =
+  { out = Bytes.create (Imath.cdiv sigma_bits 8); bytes = 0; acc = 0;
+    pending = 0 }
+
+let sunk s = (8 * s.bytes) + s.pending
+
+(* Append the [width] <= 32 low bits of [value]. *)
+(* pdm-lint: domain local — fills the satellite buffer this decode allocates *)
+let push s ~value ~width =
+  s.acc <- (s.acc lsl width) lor value;
+  s.pending <- s.pending + width;
+  while s.pending >= 8 do
+    s.pending <- s.pending - 8;
+    Bytes.set s.out s.bytes (Char.chr ((s.acc lsr s.pending) land 0xff));
+    s.bytes <- s.bytes + 1
+  done;
+  s.acc <- s.acc land ((1 lsl s.pending) - 1)
+
+(* The satellite, its last byte zero-padded. *)
+(* pdm-lint: domain local — fills the satellite buffer this decode allocates *)
+let finish s =
+  if s.pending > 0 then
+    Bytes.set s.out s.bytes (Char.chr (s.acc lsl (8 - s.pending)));
+  s.out
+
+(* Append [count] bits of the field from bit [pos], a source word at a
+   time. *)
+let copy_out v ~at ~base ~pos ~count s =
+  let pos = ref pos and left = ref count in
+  while !left > 0 do
+    let n = min !left (32 - (!pos land 31)) in
+    push s ~value:(bits v ~at ~base ~pos:!pos ~width:n) ~width:n;
+    pos := !pos + n;
+    left := !left - n
+  done
+
+(* Field [i]'s first block; its first cell is [v.base i]. *)
+let block_of v i = v.off + (i * v.groups)
+
+let occupied v i = occupied_at v ~at:(block_of v i) ~base:(v.base i)
+
+let words_of field_bits = Imath.cdiv field_bits 32
+
+let field ~field_bits v i =
+  let at = block_of v i and base = v.base i in
+  if not (occupied_at v ~at ~base) then None
+  else Some (Array.init (words_of field_bits) (word v ~at ~base))
+
+(* --- writing a field's words --------------------------------------- *)
+
+(* OR the [width] <= 32 low bits of [value] into [words] at bit [pos]. *)
+(* pdm-lint: domain local — fills the field words this encode allocates *)
+let put_words words ~pos ~value ~width =
+  if width > 0 then begin
+    let w = pos lsr 5 and avail = 32 - (pos land 31) in
+    if width <= avail then
+      words.(w) <- words.(w) lor (value lsl (avail - width))
+    else begin
+      let rest = width - avail in
+      words.(w) <- words.(w) lor (value lsr rest);
+      words.(w + 1) <-
+        words.(w + 1) lor ((value land ((1 lsl rest) - 1)) lsl (32 - rest))
+    end
+  end
+
+(* [width] <= 32 bits of the satellite from bit [pos]. *)
+let satellite_bits s ~pos ~width =
+  let v = ref 0 and pos = ref pos and left = ref width in
+  while !left > 0 do
+    let byte = Char.code (Bytes.get s (!pos lsr 3)) in
+    let room = 8 - (!pos land 7) in
+    let n = min room !left in
+    v := (!v lsl n) lor ((byte lsr (room - n)) land ((1 lsl n) - 1));
+    pos := !pos + n;
+    left := !left - n
+  done;
+  !v
+
+(* Copy [count] satellite bits from bit [from] into [words] at bit
+   [pos], a destination word at a time. *)
+let copy_in s ~from words ~pos ~count =
+  let from = ref from and pos = ref pos and left = ref count in
+  while !left > 0 do
+    let n = min !left (32 - (!pos land 31)) in
+    put_words words ~pos:!pos ~value:(satellite_bits s ~pos:!from ~width:n)
+      ~width:n;
+    from := !from + n;
+    pos := !pos + n;
+    left := !left - n
+  done
+
+let check_satellite satellite sigma_bits =
   if 8 * Bytes.length satellite < sigma_bits then
-    invalid_arg "Field_codec: satellite shorter than sigma_bits";
-  Bitbuf.Reader.of_bytes satellite
+    invalid_arg "Field_codec: satellite shorter than sigma_bits"
+
+(* --- case (b) ------------------------------------------------------- *)
 
 let encode_b ~field_bits ~id_bits ~id ~satellite ~sigma_bits ~indices =
   if id_bits < 1 || id_bits >= field_bits then
@@ -38,58 +176,70 @@ let encode_b ~field_bits ~id_bits ~id ~satellite ~sigma_bits ~indices =
   let chunk_bits = field_bits - id_bits in
   if m * chunk_bits < sigma_bits then
     invalid_arg "Field_codec.encode_b: fields cannot hold sigma bits";
-  let data = satellite_reader satellite sigma_bits in
+  check_satellite satellite sigma_bits;
+  if id_bits > 62 then invalid_arg "Field_codec.encode_b: id_bits";
   List.mapi
     (fun f idx ->
-      let w = Bitbuf.Writer.create () in
-      Bitbuf.Writer.add_bits w ~value:id ~width:id_bits;
-      let remaining = sigma_bits - (f * chunk_bits) in
-      copy_bits ~from:data ~into:w ~count:(Imath.clamp ~lo:0 ~hi:chunk_bits remaining);
-      (idx, finish_field ~field_bits w))
+      let words = Array.make (words_of field_bits) 0 in
+      let high = max 0 (id_bits - 32) in
+      put_words words ~pos:0 ~value:(id lsr (id_bits - high)) ~width:high;
+      put_words words ~pos:high
+        ~value:(id land ((1 lsl (id_bits - high)) - 1))
+        ~width:(id_bits - high);
+      let from = f * chunk_bits in
+      copy_in satellite ~from words ~pos:id_bits
+        ~count:(Imath.clamp ~lo:0 ~hi:chunk_bits (sigma_bits - from));
+      (idx, words))
     indices
 
-let decode_b ~field_bits ~id_bits ~sigma_bits ~d get =
-  let counts = Hashtbl.create d in
+(* The identifier of field [i], or -1 when the field is empty. *)
+let id_at v ~id_bits i =
+  let at = block_of v i and base = v.base i in
+  if occupied_at v ~at ~base then wide_bits v ~at ~base ~pos:0 ~width:id_bits
+  else -1
+
+let decode_b ~field_bits ~id_bits ~sigma_bits ~d v =
+  (* Boyer–Moore: the only identifier that can hold a strict majority,
+     then its count. *)
+  let ids = Array.make d (-1) in
+  let cand = ref (-1) and votes = ref 0 in
   for i = 0 to d - 1 do
-    match get i with
-    | None -> ()
-    | Some bytes ->
-      let r = Bitbuf.Reader.of_bytes bytes in
-      let id = Bitbuf.Reader.read_bits r ~width:id_bits in
-      Hashtbl.replace counts id
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts id))
+    let id = id_at v ~id_bits i in
+    ids.(i) <- id;
+    if id >= 0 then
+      if !votes = 0 then begin
+        cand := id;
+        votes := 1
+      end
+      else if id = !cand then incr votes
+      else decr votes
   done;
-  let majority =
-    Hashtbl.fold
-      (fun id c acc -> if 2 * c > d then Some id else acc)
-      counts None
-  in
-  match majority with
-  | None -> None
-  | Some id ->
-    let out = Bitbuf.Writer.create () in
-    let chunk_bits = field_bits - id_bits in
+  let count = ref 0 in
+  for i = 0 to d - 1 do
+    if ids.(i) >= 0 && ids.(i) = !cand then incr count
+  done;
+  if 2 * !count <= d then None
+  else begin
+    let id = !cand and chunk_bits = field_bits - id_bits in
+    let s = sink ~sigma_bits in
     for i = 0 to d - 1 do
-      match get i with
-      | None -> ()
-      | Some bytes ->
-        if Bitbuf.Writer.length_bits out < sigma_bits then begin
-          let r = Bitbuf.Reader.of_bytes bytes in
-          if Bitbuf.Reader.read_bits r ~width:id_bits = id then begin
-            let want =
-              min chunk_bits (sigma_bits - Bitbuf.Writer.length_bits out)
-            in
-            copy_bits ~from:r ~into:out ~count:want
-          end
-        end
+      if sunk s < sigma_bits && ids.(i) = id then begin
+        let at = block_of v i and base = v.base i in
+        let want = min chunk_bits (sigma_bits - sunk s) in
+        copy_out v ~at ~base ~pos:id_bits ~count:want s
+      end
     done;
-    if Bitbuf.Writer.length_bits out < sigma_bits then None
-    else begin
-      let bytes = Bytes.make (Imath.cdiv sigma_bits 8) '\000' in
-      let src = Bitbuf.Writer.contents out in
-      Bytes.blit src 0 bytes 0 (Bytes.length bytes);
-      Some (id, bytes)
-    end
+    if sunk s < sigma_bits then None else Some (id, finish s)
+  end
+
+let indices_b ~id_bits ~d ~id v =
+  let rec collect i acc =
+    if i < 0 then acc
+    else collect (i - 1) (if id_at v ~id_bits i = id then i :: acc else acc)
+  in
+  collect (d - 1) []
+
+(* --- case (a) ------------------------------------------------------- *)
 
 let check_increasing indices =
   let rec loop = function
@@ -117,70 +267,73 @@ let encode_a ~field_bits ~indices ~satellite ~sigma_bits =
   check_increasing indices;
   if a_capacity_bits ~field_bits ~indices < sigma_bits then
     invalid_arg "Field_codec.encode_a: fields cannot hold sigma bits";
-  let data = satellite_reader satellite sigma_bits in
-  let consumed = ref 0 in
-  let rec build = function
-    | [] -> []
+  check_satellite satellite sigma_bits;
+  let rec build consumed = function
+    | [] ->
+      assert (consumed = sigma_bits);
+      []
     | idx :: rest ->
-      let w = Bitbuf.Writer.create () in
-      (match rest with
-       | next :: _ -> Bitbuf.Writer.add_unary w (next - idx)
-       | [] -> Bitbuf.Writer.add_unary w 0);
-      if Bitbuf.Writer.length_bits w > field_bits then
+      let delta = match rest with next :: _ -> next - idx | [] -> 0 in
+      if delta + 1 > field_bits then
         invalid_arg
           "Field_codec.encode_a: unary pointer exceeds field size (satellite \
            too small for this degree)";
-      let room = field_bits - Bitbuf.Writer.length_bits w in
-      let want = Imath.clamp ~lo:0 ~hi:room (sigma_bits - !consumed) in
-      copy_bits ~from:data ~into:w ~count:want;
-      consumed := !consumed + want;
-      (idx, finish_field ~field_bits w) :: build rest
+      let words = Array.make (words_of field_bits) 0 in
+      (* delta ones, then the zero the array already holds *)
+      for p = 0 to delta - 1 do
+        put_words words ~pos:p ~value:1 ~width:1
+      done;
+      let pos = delta + 1 in
+      let want =
+        Imath.clamp ~lo:0 ~hi:(field_bits - pos) (sigma_bits - consumed)
+      in
+      copy_in satellite ~from:consumed words ~pos ~count:want;
+      (idx, words) :: build (consumed + want) rest
   in
-  let fields = build indices in
-  assert (!consumed = sigma_bits);
-  fields
+  build 0 indices
 
-let indices_a ~field_bits ~head get =
-  ignore field_bits;
+(* The list has at most one entry per candidate field; 4096 bounds any
+   realistic degree and keeps a corrupt pointer chain finite. *)
+let chain_guard = 4096
+
+let indices_a ~field_bits ~head v =
   let rec follow idx acc guard =
     if guard < 0 then None
     else
-      match get idx with
-      | None -> None
-      | Some bytes ->
-        let r = Bitbuf.Reader.of_bytes bytes in
-        let delta = Bitbuf.Reader.read_unary r in
+      let at = block_of v idx and base = v.base idx in
+      if not (occupied_at v ~at ~base) then None
+      else
+        let delta = unary v ~at ~base ~field_bits in
         if delta = 0 then Some (List.rev (idx :: acc))
         else follow (idx + delta) (idx :: acc) (guard - 1)
   in
-  follow head [] 4096
+  follow head [] chain_guard
 
-(* pdm-lint: domain local — field codec mutates per-call decode buffers *)
-let decode_a ~field_bits ~head ~sigma_bits get =
-  let out = Bitbuf.Writer.create () in
-  let rec follow idx guard =
-    if guard < 0 then None
-    else
-      match get idx with
-      | None -> None
-      | Some bytes ->
-        let r = Bitbuf.Reader.of_bytes bytes in
-        let delta = Bitbuf.Reader.read_unary r in
-        let room = field_bits - Bitbuf.Reader.pos r in
+(* A loop rather than a recursive closure: a lookup allocates the
+   satellite, its sink and its [Some], nothing per field. *)
+let decode_a ~field_bits ~head ~sigma_bits v =
+  let s = sink ~sigma_bits in
+  let idx = ref head and guard = ref chain_guard in
+  (* 0: walking, 1: the stream is whole, 2: the key is not here *)
+  let state = ref 0 in
+  while !state = 0 do
+    if !guard < 0 then state := 2
+    else begin
+      let at = block_of v !idx and base = v.base !idx in
+      if not (occupied_at v ~at ~base) then state := 2
+      else begin
+        let delta = unary v ~at ~base ~field_bits in
+        let pos = delta + 1 in
         let want =
-          Imath.clamp ~lo:0 ~hi:room (sigma_bits - Bitbuf.Writer.length_bits out)
+          Imath.clamp ~lo:0 ~hi:(field_bits - pos) (sigma_bits - sunk s)
         in
-        copy_bits ~from:r ~into:out ~count:want;
-        if delta = 0 then
-          if Bitbuf.Writer.length_bits out >= sigma_bits then begin
-            let bytes = Bytes.make (Imath.cdiv sigma_bits 8) '\000' in
-            let src = Bitbuf.Writer.contents out in
-            Bytes.blit src 0 bytes 0 (Bytes.length bytes);
-            Some bytes
-          end
-          else None
-        else follow (idx + delta) (guard - 1)
-  in
-  (* The list has at most one entry per candidate field; 4096 bounds
-     any realistic degree and keeps a corrupt pointer chain finite. *)
-  follow head 4096
+        copy_out v ~at ~base ~pos ~count:want s;
+        if delta = 0 then state := if sunk s >= sigma_bits then 1 else 2
+        else begin
+          idx := !idx + delta;
+          decr guard
+        end
+      end
+    end
+  done;
+  if !state = 1 then Some (finish s) else None

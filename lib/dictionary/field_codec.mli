@@ -1,4 +1,4 @@
-(** The two field layouts of Theorem 6.
+(** The two field layouts of Theorem 6, as 32-bit words.
 
     A stored key's satellite data (σ bits) is split across m assigned
     fields of a {!Field_store}. Two encodings are used:
@@ -18,13 +18,41 @@
     (⌈lg d⌉ bits, kept in the membership sub-dictionary) to start
     decoding.
 
-    All functions are pure; field contents are byte strings of
-    ⌈field_bits/8⌉ bytes as stored by {!Field_store}. *)
+    A field of [field_bits] bits is the ⌈field_bits/32⌉ words its cells
+    hold: bit [p] of the field is bit [31 - p mod 32] of word [p / 32],
+    and the bits past [field_bits] are zero. So the leading ones of a
+    case (a) field's first word are its unary pointer, and the data
+    bits follow. Encoders build each field's words; decoders read them
+    straight from the fetched block cells through a {!view}. [Bytes]
+    appears only for the satellite, most significant bit of byte 0
+    first. All functions are pure. *)
 
-type encoded = (int * Bytes.t) list
-(** (assigned index, field content) pairs. The index is whatever
-    keyspace the caller uses — stripe index i for lookups via Γ(x, i),
-    or a global field index during construction. *)
+type view = {
+  cells : int option array array;  (** fetched blocks *)
+  off : int;  (** field [i]'s first block is [cells.(off + i × groups)] *)
+  groups : int;  (** blocks per field *)
+  seg_words : int;  (** words of a field held by each of its blocks *)
+  base : int -> int;  (** field [i]'s first cell in each of its blocks *)
+}
+(** Where candidate fields lie in fetched blocks: word [w] of field [i]
+    is cell [base i + w mod seg_words] of block
+    [cells.(off + i × groups + w / seg_words)]. A field is empty (the
+    paper's "empty-field marker") when its first cell is [None]; a
+    word of an occupied field that is [None] is corrupt and raises
+    [Invalid_argument]. {!Field_store.view} builds the view of a key's
+    d candidate fields A[Γ(x)]. *)
+
+val occupied : view -> int -> bool
+(** Field [i] is not empty. *)
+
+val field : field_bits:int -> view -> int -> int array option
+(** Field [i]'s ⌈field_bits/32⌉ words, or [None] when it is empty. *)
+
+type encoded = (int * int array) list
+(** (assigned index, field words) pairs, each field [⌈field_bits/32⌉]
+    words. The index is whatever keyspace the caller uses — stripe
+    index i for lookups via Γ(x, i), or a global field index during
+    construction. *)
 
 val encode_b :
   field_bits:int ->
@@ -45,12 +73,17 @@ val decode_b :
   id_bits:int ->
   sigma_bits:int ->
   d:int ->
-  (int -> Bytes.t option) ->
+  view ->
   (int * Bytes.t) option
-(** Case (b) lookup over the d candidate fields ([get i] = field at
-    Γ(x, i), [None] = empty). Returns the majority identifier (> d/2
-    occurrences) and the merged satellite, or [None] when there is no
-    majority — i.e. the key is absent. *)
+(** Case (b) lookup over the d candidate fields [0, d) of the view.
+    Returns the majority identifier (> d/2 occurrences) and the merged
+    satellite, or [None] when there is no majority — i.e. the key is
+    absent. *)
+
+val indices_b : id_bits:int -> d:int -> id:int -> view -> int list
+(** The candidate fields among [0, d) whose identifier is [id], in
+    increasing order: a stored key's own fields (used to rewrite or
+    clear them in place). *)
 
 val encode_a :
   field_bits:int ->
@@ -63,19 +96,15 @@ val encode_a :
     fit its field or the total capacity is short. *)
 
 val decode_a :
-  field_bits:int ->
-  head:int ->
-  sigma_bits:int ->
-  (int -> Bytes.t option) ->
-  Bytes.t option
-(** Case (a) lookup: follow the pointer list starting at index [head],
+  field_bits:int -> head:int -> sigma_bits:int -> view -> Bytes.t option
+(** Case (a) lookup: follow the pointer list starting at field [head],
     concatenating each visited field's data remainder. Returns [None]
     if a visited field is empty or the stream ends short — both mean
     the structure does not hold the key (callers consult the
-    membership dictionary first, so this is defensive). *)
+    membership dictionary first, so this is defensive). A field whose
+    unary pointer never ends is corrupt and raises [Invalid_argument]. *)
 
-val indices_a :
-  field_bits:int -> head:int -> (int -> Bytes.t option) -> int list option
+val indices_a : field_bits:int -> head:int -> view -> int list option
 (** Follow only the unary pointers from [head], returning the full
     index list (used to rewrite a stored key's satellite in place). *)
 

@@ -17,6 +17,7 @@ type t = {
   field_words : int;
   groups : int;            (* blocks (= disks) per field *)
   seg_words : int;         (* words of a field stored per group block *)
+  tail_mask : int;         (* the field's bits in its last word *)
   fields_per_row : int;    (* fields sharing one block row *)
   blocks_per_disk : int;
 }
@@ -42,8 +43,10 @@ let create ~machine ~disk_offset ~block_offset ~graph ~field_bits =
   if block_offset < 0
      || block_offset + blocks_per_disk > Pdm.blocks_per_disk machine
   then invalid_arg "Field_store.create: block range out of machine";
+  let tail = field_bits - (Codec.bits_per_word * (field_words - 1)) in
+  let tail_mask = ((1 lsl tail) - 1) lsl (Codec.bits_per_word - tail) in
   { machine; disk_offset; block_offset; graph; field_bits; field_words;
-    groups; seg_words; fields_per_row; blocks_per_disk }
+    groups; seg_words; tail_mask; fields_per_row; blocks_per_disk }
 
 let graph t = t.graph
 let field_bits t = t.field_bits
@@ -68,14 +71,16 @@ let locate t y =
 
 let plan_blocks t = Bipartite.d t.graph * t.groups
 
-(* Neighbor i of a key lies in stripe i, so its group blocks sit on
-   disks [disk_offset + i·groups, …+groups), all in the field's row. *)
+(* Neighbor i of a key lies in stripe i, at [neighbor - i·width], so
+   its group blocks sit on disks [disk_offset + i·groups, …+groups),
+   all in the field's row. *)
 (* pdm-lint: domain local — fills the caller's own plan array *)
 let fill_addresses t key dst ~off =
   let w = Bipartite.stripe_width t.graph in
   for i = 0 to Bipartite.d t.graph - 1 do
     let row =
-      t.block_offset + (Bipartite.neighbor t.graph key i mod w / t.fields_per_row)
+      t.block_offset
+      + ((Bipartite.neighbor t.graph key i - (i * w)) / t.fields_per_row)
     in
     for q = 0 to t.groups - 1 do
       let at = (i * t.groups) + q in
@@ -88,28 +93,15 @@ let addresses t key =
   fill_addresses t key dst ~off:0;
   dst
 
-(* The word base of neighbor [i]'s field within its blocks. *)
+(* The word base of neighbor [i]'s field within its blocks: the
+   neighbor lies in stripe [i], at [neighbor - i × stripe width]. *)
 let neighbor_base t key i =
-  Bipartite.neighbor t.graph key i mod Bipartite.stripe_width t.graph
+  (Bipartite.neighbor t.graph key i - (i * Bipartite.stripe_width t.graph))
   mod t.fields_per_row * t.seg_words
 
-(* The field whose group blocks are [segs.(at)] … [segs.(at + groups -
-   1)], at word [base] of each. Occupancy is judged by the first word
-   of the first segment. *)
-let decode_field t segs ~at base =
-  match segs.(at).(base) with
-  | None -> None
-  | Some _ ->
-    let words = Array.make t.field_words 0 in
-    for w = 0 to t.field_words - 1 do
-      match segs.(at + (w / t.seg_words)).(base + (w mod t.seg_words)) with
-      | Some x -> words.(w) <- x
-      | None -> invalid_arg "Field_store: corrupt field"
-    done;
-    Some (Codec.bytes_of_words words ~nbits:t.field_bits)
-
-let neighbor_field t blocks ~off key i =
-  decode_field t blocks ~at:(off + (i * t.groups)) (neighbor_base t key i)
+let view t blocks ~off key =
+  { Field_codec.cells = blocks; off; groups = t.groups;
+    seg_words = t.seg_words; base = neighbor_base t key }
 
 (* The group blocks of fields [ys] in one positional read: group block
    [q] of the [k]-th field answers position [k × groups + q]. *)
@@ -117,26 +109,27 @@ let read_groups t ys =
   Pdm.read t.machine (Array.concat (List.map (fun y -> fst (locate t y)) ys))
 
 let read_fields t ys =
-  let blocks = read_groups t ys in
-  List.mapi
-    (fun k y ->
-      (y, decode_field t blocks ~at:(k * t.groups) (snd (locate t y))))
-    ys
+  let bases = Array.of_list (List.map (fun y -> snd (locate t y)) ys) in
+  let v =
+    { Field_codec.cells = read_groups t ys; off = 0; groups = t.groups;
+      seg_words = t.seg_words; base = Array.get bases }
+  in
+  List.mapi (fun k y -> (y, Field_codec.field ~field_bits:t.field_bits v k)) ys
 
+(* Bits past [field_bits] are stored as zero, as the codec reads them. *)
 (* pdm-lint: domain local — field codec mutates a per-call scratch copy of the block *)
 let poke_field t segs base content =
-  let words =
-    Option.map
-      (fun bytes ->
-        let words = Codec.words_of_bits bytes ~nbits:t.field_bits in
-        if Array.length words <> t.field_words then
-          invalid_arg "Field_store: field content has wrong size";
-        words)
-      content
-  in
-  for w = 0 to t.field_words - 1 do
+  (match content with
+   | Some words when Array.length words <> t.field_words ->
+     invalid_arg "Field_store: field content has wrong size"
+   | Some _ | None -> ());
+  let last = t.field_words - 1 in
+  for w = 0 to last do
     segs.(w / t.seg_words).(base + (w mod t.seg_words)) <-
-      (match words with None -> None | Some words -> Some words.(w))
+      (match content with
+       | None -> None
+       | Some words ->
+         Some (words.(w) land if w = last then t.tail_mask else 0xffff_ffff))
   done
 
 (* Write field [y] into the touched blocks, copying group block [q]'s
@@ -190,7 +183,7 @@ let bulk_write t fields =
         invalid_arg "Field_store.bulk_write: duplicate field";
       Hashtbl.add seen y ())
     fields;
-  write_fields t (List.map (fun (y, b) -> (y, Some b)) fields)
+  write_fields t (List.map (fun (y, words) -> (y, Some words)) fields)
 
 let count_occupied t =
   let v = Bipartite.v t.graph in

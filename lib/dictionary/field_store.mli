@@ -5,9 +5,12 @@
     key — one per disk — is a single parallel I/O even though each
     block holds many fields.
 
-    A field is a fixed-size bit string ([field_bits] bits, stored as
-    ⌈field_bits/32⌉ words); an empty field (the paper's "empty-field
-    marker") is represented by its first word being unset. Writes are
+    A field is a fixed-size bit string of [field_bits] bits, held as
+    the ⌈field_bits/32⌉ 32-bit words {!Field_codec} reads and writes
+    (most significant bit first); an empty field (the paper's
+    "empty-field marker") is represented by its first word being
+    unset. Fields enter and leave the store as those words, never as
+    bytes. Writes are
     read-modify-write at block granularity, as on a real device; the
     batch operations below group fields by block so composite
     structures pay the minimal number of rounds.
@@ -67,31 +70,33 @@ val fill_addresses : t -> int -> Pdm_sim.Pdm.addr array -> off:int -> unit
 val addresses : t -> int -> Pdm_sim.Pdm.addr array
 (** The key's plan in a fresh array ({!fill_addresses} at offset 0). *)
 
-val neighbor_field :
-  t -> int option array array -> off:int -> int -> int -> Bytes.t option
-(** [neighbor_field t blocks ~off key i] decodes neighbor [i]'s field
-    A[Γ(key)_i] ([None] = empty) from fetched blocks laid out as
-    {!fill_addresses} put the plan at [off]: block [off + j] answers
-    address [j] of {!addresses}. *)
+val view : t -> int option array array -> off:int -> int -> Field_codec.view
+(** [view t blocks ~off key] is the key's d candidate fields A[Γ(key)]
+    in fetched blocks laid out as {!fill_addresses} put the plan at
+    [off] (block [off + j] answers address [j] of {!addresses}): field
+    [i] of the view is neighbor [i]'s, read in place by the
+    {!Field_codec} decoders. *)
 
-val read_fields : t -> int list -> (int * Bytes.t option) list
-(** Fetch the given fields, reading each containing block once. *)
+val read_fields : t -> int list -> (int * int array option) list
+(** Fetch the given fields' words ([None] = empty), reading each
+    containing block once. *)
 
 val prepare_updates :
   t -> int -> images:int option array array -> off:int ->
-  (int * Bytes.t option) list ->
+  (int * int array option) list ->
   (Pdm_sim.Pdm.addr * int option array) list
 (** [prepare_updates t key ~images ~off updates] applies [(i,
     content)] updates to the key's distinct neighbors [i], in fetched
     blocks laid out as for {!neighbor_field}, and returns the touched
     blocks as edited copies {b without writing them} — the caller
-    folds them into a combined write round. The fetched images stay
+    folds them into a combined write round. A field's content is its
+    ⌈field_bits/32⌉ words ([None] clears it). The fetched images stay
     untouched. *)
 
-val write_fields : t -> (int * Bytes.t option) list -> unit
+val write_fields : t -> (int * int array option) list -> unit
 (** Read-modify-write without pre-fetched images. *)
 
-val bulk_write : t -> (int * Bytes.t) list -> unit
+val bulk_write : t -> (int * int array) list -> unit
 (** Construction-time fill: group all fields by block, then write every
     touched block in one request (≈ blocks/d parallel write rounds,
     plus one read round for partially-updated blocks). Fields must be

@@ -143,18 +143,19 @@ let membership t key round =
     (fun v -> (Char.code (Bytes.get v 0), Char.code (Bytes.get v 1)))
     (Basic_dict.find_in t.membership key round ~off:0)
 
-let getter t level blocks ~off key =
-  Field_store.neighbor_field t.arrays.(level - 1) blocks ~off key
+(* The key's candidate fields at a level, read in place. *)
+let view t level blocks ~off key =
+  Field_store.view t.arrays.(level - 1) blocks ~off key
 
 let decode t key ~level ~head blocks ~off =
   Field_codec.decode_a ~field_bits:t.field_bits ~head ~sigma_bits:t.sigma_bits
-    (getter t level blocks ~off key)
+    (view t level blocks ~off key)
 
 (* The stripes holding the key's fields at its level. *)
 let stripes t key ~level ~head blocks ~off =
   match
     Field_codec.indices_a ~field_bits:t.field_bits ~head
-      (getter t level blocks ~off key)
+      (view t level blocks ~off key)
   with
   | Some stripes -> stripes
   | None -> invalid_arg (t.name ^ ": corrupt pointer chain")
@@ -164,7 +165,7 @@ let stripes t key ~level ~head blocks ~off =
 let written t key ~level blocks ~off ~stripes satellite =
   Field_store.prepare_updates t.arrays.(level - 1) key ~images:blocks ~off
     (List.map
-       (fun (i, b) -> (i, Some b))
+       (fun (i, words) -> (i, Some words))
        (Field_codec.encode_a ~field_bits:t.field_bits ~indices:stripes
           ~satellite ~sigma_bits:t.sigma_bits))
 
@@ -183,8 +184,12 @@ let insert t key satellite round ~level_blocks =
       if level > Array.length t.arrays then raise (Overflow key)
       else begin
         let blocks, off = level_blocks level in
-        let get = getter t level blocks ~off key in
-        let empties = List.filter (fun i -> get i = None) (List.init t.degree Fun.id) in
+        let v = view t level blocks ~off key in
+        let empties =
+          List.filter
+            (fun i -> not (Field_codec.occupied v i))
+            (List.init t.degree Fun.id)
+        in
         if List.length empties >= frag_count t.degree then begin
           let stripes = List.filteri (fun i _ -> i < frag_count t.degree) empties in
           let field_blocks = written t key ~level blocks ~off ~stripes satellite in

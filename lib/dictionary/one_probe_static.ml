@@ -295,7 +295,7 @@ let build ?(construction = `Sorting) ?(replicas = 1) ?(spares = 0) ?factory
               ~sigma_bits:cfg.sigma_bits
           in
           (* Map stripe indices back to global field ids. *)
-          List.map2 (fun y (_, bytes) -> (y, bytes)) field_ids enc
+          List.map2 (fun y (_, words) -> (y, words)) field_ids enc
       in
       b_pairs := encoded @ !b_pairs)
     assignments;
@@ -373,12 +373,13 @@ let probe_addresses t key =
   dst
 
 let find_in t key blocks =
-  let get = Field_store.neighbor_field t.fields blocks ~off:0 key in
+  let v = Field_store.view t.fields blocks ~off:0 key in
+  let field_bits = Field_store.field_bits t.fields in
   match t.cfg.case with
   | Case_b ->
     Option.map snd
-      (Field_codec.decode_b ~field_bits:(Field_store.field_bits t.fields)
-         ~id_bits:t.id_bits ~sigma_bits:t.cfg.sigma_bits ~d:t.cfg.degree get)
+      (Field_codec.decode_b ~field_bits ~id_bits:t.id_bits
+         ~sigma_bits:t.cfg.sigma_bits ~d:t.cfg.degree v)
   | Case_a ->
     (match t.membership with
      | None ->
@@ -394,8 +395,8 @@ let find_in t key blocks =
         | None -> None
         | Some head_bytes ->
           let head = Char.code (Bytes.get head_bytes 0) in
-          Field_codec.decode_a ~field_bits:(Field_store.field_bits t.fields)
-            ~head ~sigma_bits:t.cfg.sigma_bits get))
+          Field_codec.decode_a ~field_bits ~head ~sigma_bits:t.cfg.sigma_bits
+            v))
 
 let find t key =
   find_in t key (Pdm.read_views t.machine (probe_addresses t key))

@@ -75,6 +75,7 @@ type t = {
   mutable outcomes : outcome list; (* completion order, reversed *)
   disk_load : int array;           (* cumulative fetches per physical disk *)
   used : int array;                (* per physical disk: the last stamp that took it *)
+  down : bool array;               (* per physical disk: health, as of this round *)
   mutable stamp : int;             (* fetch rounds packed plus fetches begun *)
   (* The running batch's distinct addresses, each mapped to a slot
      once, in first-seen order; then everything works on slots. The
@@ -95,6 +96,7 @@ type t = {
   mutable pending_blocks : int array;  (* slots *)
   mutable issued_slot : int array; (* per issued block of a round: its slot *)
   mutable issued_rep : int array;  (* … and the replica it is read from *)
+  mutable numbers : int array;     (* a planned step's block numbers *)
   (* counters *)
   mutable served : int;
   mutable batches : int;
@@ -123,11 +125,12 @@ let create ?(config = default_config) dict =
     dict; cfg = config; cache; queue = Queue.create ();
     next_id = 0; round = 0; outcomes = [];
     disk_load = Array.make (Pdm.physical_disks m) 0;
-    used = Array.make (Pdm.physical_disks m) 0; stamp = 0;
+    used = Array.make (Pdm.physical_disks m) 0;
+    down = Array.make (Pdm.physical_disks m) false; stamp = 0;
     slot_at = Array.make blocks 0; slot_batch = Array.make blocks 0;
     batch_id = 1; nslots = 0; addr_of = [||]; images = [||];
     owner = [||]; reps = [||]; pending_blocks = [||]; issued_slot = [||];
-    issued_rep = [||];
+    issued_rep = [||]; numbers = [||];
     served = 0; batches = 0; fetch_rounds = 0; insert_rounds = 0;
     executor_rounds = 0; blocks_fetched = 0; coalesced = 0; cache_hits = 0;
     total_latency = 0; max_latency = 0;
@@ -296,18 +299,24 @@ let new_slot t x a n =
   s
 
 (* Plan the [x]-th flight's step: look each address up once in the
-   slot index, range-checking it. Every repeat of an address that
-   already has a slot is one coalesced fetch. *)
+   slot index, range-checking it (the block numbers come from the
+   machine in one call; an address out of range raises when the walk
+   reaches it). Every repeat of an address that already has a slot is
+   one coalesced fetch. *)
 (* pdm-lint: domain local — the flight's slots and the engine's counters, owned by the running batch *)
 let plan t x f =
   match f.step with
   | Done _ -> ()
   | Fetch (addrs, _) ->
     let m = t.dict.machine in
-    let slots = Array.make (Array.length addrs) 0 in
-    for i = 0 to Array.length addrs - 1 do
+    let len = Array.length addrs in
+    t.numbers <- grow t.numbers len 0;
+    let numbers = t.numbers in
+    let valid = Pdm.block_numbers m addrs numbers in
+    let slots = Array.make len 0 in
+    for i = 0 to len - 1 do
       let a = addrs.(i) in
-      let n = Pdm.block_number m a in
+      let n = if i < valid then numbers.(i) else Pdm.block_number m a in
       let s = slot t n in
       slots.(i) <-
         (if s >= 0 then begin
@@ -328,9 +337,10 @@ let plan t x f =
    A block with no healthy replica left is issued anyway on replica 0
    so the machine's structured error surfaces, attributed to the
    oldest issued request with a block on the failing disk (else the
-   round's first). Replica disks are resolved once per fetch, since
-   placement moves only in scrub; health is re-read every round, since
-   a read that meets a dead disk marks it down.
+   round's first). Replica disks are resolved once per fetch, a block's
+   copies in one call, since placement moves only in scrub; health is
+   copied once per round, since a read that meets a dead disk marks it
+   down.
 
    A round closes once it has taken every disk the fetch's blocks can
    use: each block it has not reached then finds all its replica disks
@@ -348,16 +358,16 @@ let fetch_all t flights ~first =
   t.issued_rep <- grow t.issued_rep t.nslots 0;
   let reps = t.reps and pending = t.pending_blocks in
   let issued_slot = t.issued_slot and issued_rep = t.issued_rep in
-  let used = t.used in
+  let used = t.used and down = t.down in
   (* the candidate disks, stamped once and counted *)
   t.stamp <- t.stamp + 1;
   let seen = t.stamp in
   let candidates = ref 0 and npending = ref 0 in
   for i = first to t.nslots - 1 do
     if t.images.(i) == unfetched then begin
+      Pdm.replica_disks m t.addr_of.(i) reps ~off:(i * r);
       for j = 0 to r - 1 do
-        let d = Pdm.replica_disk m t.addr_of.(i) j in
-        reps.((i * r) + j) <- d;
+        let d = reps.((i * r) + j) in
         if used.(d) <> seen then begin
           used.(d) <- seen;
           incr candidates
@@ -371,13 +381,17 @@ let fetch_all t flights ~first =
   while !npending > 0 do
     t.stamp <- t.stamp + 1;
     let stamp = t.stamp in
+    Pdm.disks_down m down;
     let nissued = ref 0 and ndeferred = ref 0 and taken = ref 0 in
     let x = ref 0 in
     while !x < !npending do
       if !taken = candidates then begin
-        let rest = !npending - !x in
-        Array.blit pending !x pending !ndeferred rest;
-        ndeferred := !ndeferred + rest;
+        (* a loop, not [Array.blit]: on a long-lived array the blit
+           goes through the write barrier cell by cell *)
+        for y = !x to !npending - 1 do
+          pending.(!ndeferred) <- pending.(y);
+          incr ndeferred
+        done;
         x := !npending
       end
       else begin
@@ -386,7 +400,7 @@ let fetch_all t flights ~first =
         let best = ref (-1) and healthy = ref false in
         for j = 0 to r - 1 do
           let d = reps.(base + j) in
-          if not (Pdm.disk_down m d) then begin
+          if not down.(d) then begin
             healthy := true;
             if
               used.(d) <> stamp

@@ -3,6 +3,7 @@ type t = {
   v : int;
   d : int;
   striped : bool;
+  width : int;  (* v / d *)
   f : int -> int -> int;
 }
 
@@ -10,22 +11,24 @@ let create ?(striped = false) ~u ~v ~d f =
   if u < 1 || v < 1 || d < 1 then invalid_arg "Bipartite.create: sizes";
   if striped && v mod d <> 0 then
     invalid_arg "Bipartite.create: striped graph needs d | v";
-  { u; v; d; striped; f }
+  { u; v; d; striped; width = v / d; f }
 
 let u g = g.u
 let v g = g.v
 let d g = g.d
 let is_striped g = g.striped
-let stripe_width g = g.v / g.d
+let stripe_width g = g.width
 
+(* Stripe i is [i·width, (i+1)·width): checked without dividing. *)
 let neighbor g x i =
   if x < 0 || x >= g.u then invalid_arg "Bipartite.neighbor: x out of range";
   if i < 0 || i >= g.d then invalid_arg "Bipartite.neighbor: i out of range";
   let y = g.f x i in
   if y < 0 || y >= g.v then invalid_arg "Bipartite.neighbor: f out of range";
   if g.striped then begin
-    let w = stripe_width g in
-    if y / w <> i then invalid_arg "Bipartite.neighbor: f leaves its stripe"
+    let lo = i * g.width in
+    if y < lo || y >= lo + g.width then
+      invalid_arg "Bipartite.neighbor: f leaves its stripe"
   end;
   y
 

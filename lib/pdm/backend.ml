@@ -49,18 +49,23 @@ type 'a t = {
 
 type 'a factory = blocks:int -> slots:int -> (int -> 'a t) option
 
+(* Each block is stored as the answer a read gives, [Data] box and
+   all, so a read allocates nothing. *)
 let memory ~disk ~blocks =
-  let store = Array.make blocks None in
+  let store = Array.make blocks (Data None) in
+  let image b =
+    match store.(b) with Data image -> image | Transient | Lost -> None
+  in
   { name = "memory";
     disk;
     blocks;
-    read = (fun ~attempt:_ b -> Data store.(b));
-    write = (fun b slots -> store.(b) <- Some slots);
+    read = (fun ~attempt:_ b -> store.(b));
+    write = (fun b slots -> store.(b) <- Data (Some slots));
     cost = 1;
     max_retries = 0;
-    peek = (fun b -> store.(b));
-    poke = (fun b slots -> store.(b) <- slots);
-    exists = (fun b -> store.(b) <> None);
+    peek = image;
+    poke = (fun b slots -> store.(b) <- Data slots);
+    exists = (fun b -> image b <> None);
     barrier = (fun () -> ()) }
 
 (* A disk that died at run time: its contents are unreadable even by

@@ -85,7 +85,9 @@ type 'a factory = blocks:int -> slots:int -> (int -> 'a t) option
     the factory answers [None] (the "mem" factory). *)
 
 val memory : disk:int -> blocks:int -> 'a t
-(** Fresh all-empty in-memory backend — the default disk. *)
+(** Fresh all-empty in-memory backend — the default disk. Each block is
+    kept as the [Data] answer a read returns, so reads allocate
+    nothing. *)
 
 val dead : disk:int -> blocks:int -> 'a t
 (** A disk killed at run time ({!Pdm.kill_disk}): reads answer [Lost],

@@ -22,14 +22,19 @@ type workspace = {
   cur : int array;  (* per channel: transfer in flight, -1 = idle *)
   left : int array;  (* per channel: rounds the transfer still needs *)
   per_disk : int array;  (* blocks moved per disk this round, untraced *)
+  mutable pdisk : int array;  (* per transfer: its physical disk *)
+  mutable pblock : int array;  (* per transfer: its physical block *)
+  mutable owner : int array;  (* per transfer of a write: its logical block *)
   mutable next : int array;  (* per transfer: the one queued behind it *)
   mutable attempts : int array;  (* per transfer: failed attempts *)
+  mutable delivered : int;  (* transfers the last schedule delivered *)
   last : int array;  (* per disk: latest position of a request's address on it *)
   mutable chain : int array;  (* per position: the previous one on its disk, -1 = none *)
   (* read_candidates, per logical block of the request *)
   mutable remaining : int array;  (* replicas not tried yet, one bit each *)
   mutable pending : int array;  (* this pass's blocks *)
   mutable failed : int array;  (* the blocks that failed it, in failure order *)
+  mutable nfailed : int;
 }
 
 type 'a t = {
@@ -64,13 +69,18 @@ let workspace channels =
     cur = Array.make channels (-1);
     left = Array.make channels 0;
     per_disk = Array.make channels 0;
+    pdisk = [||];
+    pblock = [||];
+    owner = [||];
     next = [||];
     attempts = [||];
+    delivered = 0;
     last = Array.make channels (-1);
     chain = [||];
     remaining = [||];
     pending = [||];
-    failed = [||] }
+    failed = [||];
+    nfailed = 0 }
 
 let physical_disks_of ~disks ~spares = disks + spares
 let physical_blocks_of ~replicas ~blocks_per_disk = replicas * blocks_per_disk
@@ -162,6 +172,13 @@ let integrity t = t.integrity
 let rounds_total t = t.rounds_done
 let backend t d = t.backends.(d)
 let disk_down t d = t.down.(d)
+(* A loop, not [Array.blit], which takes the write barrier cell by
+   cell when [dst] is long-lived. *)
+(* pdm-lint: domain local — copies into the caller's own array *)
+let disks_down t dst =
+  for d = 0 to Array.length t.down - 1 do
+    dst.(d) <- t.down.(d)
+  done
 let remapped_replicas t = Hashtbl.length t.remap
 
 let add_write_listener t f = t.write_listeners <- t.write_listeners @ [ f ]
@@ -181,12 +198,16 @@ let notify_write t a =
    that disk's j-th block region — r distinct disks per block, and the
    identity map for j = 0, so an unreplicated machine has the exact
    physical layout of the seed simulator. Repair may move a replica
-   elsewhere (a spare disk); the remap table records those moves. *)
+   elsewhere (a spare disk); the remap table records those moves.
+   With [a] in range and [j < replicas <= D], [d + j < 2D]: the modulo
+   is one subtraction, not a division. *)
+let home_disk t a j =
+  let d = a.disk + j in
+  if d >= t.disks then d - t.disks else d
+
 let home t a j =
   if j = 0 then a
-  else
-    { disk = (a.disk + j) mod t.disks;
-      block = (j * t.blocks_per_disk) + a.block }
+  else { disk = home_disk t a j; block = (j * t.blocks_per_disk) + a.block }
 
 let phys t a j =
   if Hashtbl.length t.remap = 0 then home t a j
@@ -195,10 +216,15 @@ let phys t a j =
     | Some p -> p
     | None -> home t a j
 
-(* [(phys t a j).disk] without building the address. *)
+(* [(phys t a j).disk] and [(phys t a j).block] without building the
+   address. *)
 let phys_disk t a j =
-  if Hashtbl.length t.remap = 0 then (a.disk + j) mod t.disks
+  if Hashtbl.length t.remap = 0 then home_disk t a j
   else (phys t a j).disk
+
+let phys_block t a j =
+  if Hashtbl.length t.remap = 0 then (j * t.blocks_per_disk) + a.block
+  else (phys t a j).block
 
 let check_addr t { disk; block } =
   if disk < 0 || disk >= t.disks then invalid_arg "Pdm: disk out of range";
@@ -211,6 +237,13 @@ let replica_disk t a j =
     invalid_arg "Pdm.replica_disk: replica out of range";
   phys_disk t a j
 
+(* pdm-lint: domain local — fills the caller's own array *)
+let replica_disks t a dst ~off =
+  check_addr t a;
+  for j = 0 to t.replicas - 1 do
+    dst.(off + j) <- phys_disk t a j
+  done
+
 let replica_addr t a ~replica =
   check_addr t a;
   if replica < 0 || replica >= t.replicas then
@@ -220,6 +253,22 @@ let replica_addr t a ~replica =
 let block_number t a =
   check_addr t a;
   (a.disk * t.blocks_per_disk) + a.block
+
+(* pdm-lint: domain local — fills the caller's own array *)
+let block_numbers t addrs dst =
+  let n = Array.length addrs and i = ref 0 in
+  while
+    !i < n
+    &&
+    let a = addrs.(!i) in
+    a.disk >= 0 && a.disk < t.disks && a.block >= 0
+    && a.block < t.blocks_per_disk
+  do
+    let a = addrs.(!i) in
+    dst.(!i) <- (a.disk * t.blocks_per_disk) + a.block;
+    incr i
+  done;
+  !i
 
 (* The closed form, counted on the distinct addresses independently of
    the read path's own coalescing. *)
@@ -238,28 +287,20 @@ let block_copy t = function
   | Some slots -> Array.copy slots
 
 let add_disk_blocks t ~op per_disk =
-  for d = 0 to Array.length per_disk - 1 do
-    let n = per_disk.(d) in
-    if n > 0 then
-      match op with
-      | Trace.Read -> Stats.add_disk_read t.stats ~disk:d ~blocks:n
-      | Trace.Write -> Stats.add_disk_write t.stats ~disk:d ~blocks:n
-  done
+  match op with
+  | Trace.Read -> Stats.add_disk_reads t.stats per_disk
+  | Trace.Write -> Stats.add_disk_writes t.stats per_disk
 
 (* Why a block transfer finally failed. *)
 type fail_reason = R_lost | R_corrupt | R_flaky
 
-let raise_failure t p reason attempts =
+let raise_failure t ~disk ~block reason attempts =
   let round = t.rounds_done in
   match reason with
-  | R_lost ->
-    raise (Backend.Disk_failed { disk = p.disk; block = p.block; round })
-  | R_corrupt ->
-    raise (Backend.Corrupt_block { disk = p.disk; block = p.block; round })
+  | R_lost -> raise (Backend.Disk_failed { disk; block; round })
+  | R_corrupt -> raise (Backend.Corrupt_block { disk; block; round })
   | R_flaky ->
-    raise
-      (Backend.Retries_exhausted
-         { disk = p.disk; block = p.block; attempts; round })
+    raise (Backend.Retries_exhausted { disk; block; attempts; round })
 
 (* Sanitizer verdict on one finished round: every perform call must
    have been accounted as delivered, retried or failed; no disk may
@@ -299,15 +340,12 @@ let sanitize_round t ~round_id ~channels ~touched ~performs ~accounted
    charge exactly the closed-form rounds of its physical addresses.
    The closed form is recomputed independently of the scheduler: sort
    the disks and count the longest same-disk run. *)
-let sanitize_clean_request t ~channels ~paddrs ~rounds ~delivered =
-  let n = Array.length paddrs in
+let sanitize_clean_request t ~channels ~disks ~n ~rounds ~delivered =
   let expect =
     match t.model with
     | Parallel_heads -> Imath.cdiv n channels
     | Independent_disks ->
-      let sorted =
-        List.sort compare (Array.to_list (Array.map (fun p -> p.disk) paddrs))
-      in
+      let sorted = List.sort compare (Array.to_list (Array.sub disks 0 n)) in
       let worst, _, _ =
         List.fold_left
           (fun (worst, prev, run) d ->
@@ -331,29 +369,41 @@ let enqueue ws q k =
   if ws.head.(q) < 0 then ws.head.(q) <- k else ws.next.(ws.tail.(q)) <- k;
   ws.tail.(q) <- k
 
+(* Make room for [n] transfers in the workspace. *)
+(* pdm-lint: domain local — the machine's workspace arrays; one scheduler per simulation, never shared *)
+let reserve ws n =
+  if Array.length ws.next < n then begin
+    let len = max n (2 * Array.length ws.next) in
+    ws.pdisk <- Array.make len 0;
+    ws.pblock <- Array.make len 0;
+    ws.owner <- Array.make len 0;
+    ws.next <- Array.make len (-1);
+    ws.attempts <- Array.make len 0
+  end
+
 (* Round-by-round execution of one request over the physical disks —
-   the only way a block moves. [perform k ~attempt] completes the
-   transfer of [paddrs.(k)], answering [`Done], [`Retry reason]
-   (re-queue for a later round, up to the budget) or [`Fail reason]
-   (the block cannot be served here; the caller's [on_fail] decides
-   whether a replica takes over or the failure is terminal). Each disk
+   the only way a block moves. The request's [n] transfers are laid
+   out in the workspace: transfer [k] moves block [ws.pblock.(k)] of
+   disk [ws.pdisk.(k)]. [perform t ws env k ~attempt] completes it,
+   answering [`Done], [`Retry reason] (re-queue for a later round, up
+   to the budget) or [`Fail reason] (the block cannot be served here;
+   the caller's [on_fail] decides whether a replica takes over or the
+   failure is terminal). The callbacks take the request's state as
+   [env], so a caller can pass top-level functions and build no
+   closure per request. Each disk
    is a channel draining its own FIFO queue in the independent-disks
    model; the head model has interchangeable channels over one queue.
    A transfer occupies [cost] rounds of its channel, so a straggling
    or retried block honestly delays everything queued behind it; a
    retry goes to the tail of its channel's queue. The addresses must
-   be distinct. Returns the number of rounds used. The queues live in
+   be distinct. Returns the number of rounds used and leaves the
+   number of transfers delivered in [ws.delivered]. The queues live in
    the machine's workspace, so a request allocates nothing per block
    or per round unless a trace records the round. *)
 (* pdm-lint: domain local — scheduler round ledger and the machine's workspace queues; one scheduler per simulation, never shared *)
-let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
+let schedule_on t ws ~op ~n ~perform ~on_fail env =
   let channels = Array.length ws.cur in
-  let n = Array.length paddrs in
-  if Array.length ws.next < n then begin
-    let len = max n (2 * Array.length ws.next) in
-    ws.next <- Array.make len (-1);
-    ws.attempts <- Array.make len 0
-  end;
+  let pdisk = ws.pdisk in
   let head = ws.head and next = ws.next in
   let cur = ws.cur and left = ws.left and attempts = ws.attempts in
   let one_queue = t.model = Parallel_heads in
@@ -361,7 +411,7 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
   Array.fill cur 0 channels (-1);
   for k = 0 to n - 1 do
     attempts.(k) <- 0;
-    enqueue ws (if one_queue then 0 else paddrs.(k).disk) k
+    enqueue ws (if one_queue then 0 else pdisk.(k)) k
   done;
   let queued = ref n and in_flight = ref 0 in
   let rounds_used = ref 0 in
@@ -387,7 +437,7 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
          let k = head.(q) in
          head.(q) <- next.(k);
          decr queued;
-         let disk = paddrs.(k).disk in
+         let disk = pdisk.(k) in
          let cost = t.backends.(disk).Backend.cost in
          if sanitizing && cost < 1 then
            Sanitize.fail ~check:"backend-cost" ~round:round_id
@@ -400,7 +450,7 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
        end);
       let k = cur.(c) in
       if k >= 0 then begin
-        let disk = paddrs.(k).disk in
+        let disk = pdisk.(k) in
         let bk = t.backends.(disk) in
         if bk.Backend.cost > 1 then degraded := true;
         let remaining = left.(c) - 1 in
@@ -412,7 +462,7 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
             incr performs;
             touched.(disk) <- touched.(disk) + 1
           end;
-          match perform k ~attempt:attempts.(k) with
+          match perform t ws env k ~attempt:attempts.(k) with
           | `Done ->
             incr accounted;
             incr delivered;
@@ -420,14 +470,14 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
           | `Fail reason ->
             incr accounted;
             degraded := true;
-            on_fail k reason ~attempts:attempts.(k)
+            on_fail t ws env k reason ~attempts:attempts.(k)
           | `Retry reason ->
             incr accounted;
             incr retries;
             degraded := true;
             let again = attempts.(k) + 1 in
             if again > bk.Backend.max_retries then
-              on_fail k reason ~attempts:again
+              on_fail t ws env k reason ~attempts:again
             else begin
               attempts.(k) <- again;
               enqueue ws q k;
@@ -451,8 +501,9 @@ let schedule_on t ws ~op ~paddrs ~perform ~on_fail =
     add_disk_blocks t ~op per_disk
   done;
   if sanitizing && !clean then
-    sanitize_clean_request t ~channels ~paddrs ~rounds:!rounds_used
+    sanitize_clean_request t ~channels ~disks:pdisk ~n ~rounds:!rounds_used
       ~delivered:!delivered;
+  ws.delivered <- !delivered;
   !rounds_used
 
 (* A request that starts while another runs on this machine (a
@@ -470,38 +521,56 @@ let release ws e =
   ws.busy <- false;
   Printexc.raise_with_backtrace e bt
 
-(* pdm-lint: domain local — the machine's workspace flag; one scheduler per simulation, never shared *)
-let schedule t ~op ~paddrs ~perform ~on_fail =
+(* The request's transfers at physical addresses [paddrs], on a
+   workspace of its own: the rounds used and the transfers delivered. *)
+(* pdm-lint: domain local — the machine's workspace flag and arrays; one scheduler per simulation, never shared *)
+let schedule t ~op ~paddrs ~perform ~on_fail env =
   let ws = acquire t in
-  match schedule_on t ws ~op ~paddrs ~perform ~on_fail with
+  let n = Array.length paddrs in
+  reserve ws n;
+  for k = 0 to n - 1 do
+    ws.pdisk.(k) <- paddrs.(k).disk;
+    ws.pblock.(k) <- paddrs.(k).block
+  done;
+  match schedule_on t ws ~op ~n ~perform ~on_fail env with
   | rounds ->
     ws.busy <- false;
-    rounds
+    (rounds, ws.delivered)
   | exception e -> release ws e
 
-(* One read attempt at a physical address, as a scheduler transfer:
-   [`Done] once [deliver k] has the payload — [None] for a
+(* One read attempt of transfer [k], as a scheduler transfer: [`Done]
+   once [deliver t ws env k] has the payload — [None] for a
    never-written block, checksum cells stripped and verified when the
    machine carries an integrity envelope — or why the block must be
    retried or served elsewhere. *)
 (* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
-let read_attempt t p ~attempt deliver k =
-  match t.backends.(p.disk).Backend.read ~attempt p.block with
+let read_attempt ~deliver t ws env k ~attempt =
+  let disk = ws.pdisk.(k) in
+  match t.backends.(disk).Backend.read ~attempt ws.pblock.(k) with
   | Backend.Data stored ->
     (match t.integrity, stored with
      | None, payload | Some _, (None as payload) ->
-       deliver k payload;
+       deliver t ws env k payload;
        `Done
      | Some itg, Some image ->
        (match itg.check image with
         | Some _ as payload ->
-          deliver k payload;
+          deliver t ws env k payload;
           `Done
         | None -> `Retry R_corrupt))
   | Backend.Transient -> `Retry R_flaky
   | Backend.Lost ->
-    t.down.(p.disk) <- true;
+    t.down.(disk) <- true;
     `Fail R_lost
+
+(* pdm-lint: domain local — the caller's own verdict array *)
+let deliver_verdict _ _ results k payload = results.(k) <- Ok payload
+
+let perform_verdict t ws results k ~attempt =
+  read_attempt ~deliver:deliver_verdict t ws results k ~attempt
+
+(* pdm-lint: domain local — the caller's own verdict array *)
+let fail_verdict _ _ results k reason ~attempts:_ = results.(k) <- Error reason
 
 (* Counted read of distinct physical addresses with no replica
    failover: entry [k] of the answer is [Ok payload] or [Error reason]
@@ -511,21 +580,29 @@ let read_attempt t p ~attempt deliver k =
    one shard, driven by that shard's single owning domain *)
 let read_phys_batch t paddrs =
   let results = Array.make (Array.length paddrs) (Error R_lost) in
-  let delivered = ref 0 in
-  let deliver k payload =
-    results.(k) <- Ok payload;
-    incr delivered
+  let rounds, delivered =
+    schedule t ~op:Trace.Read ~paddrs ~perform:perform_verdict
+      ~on_fail:fail_verdict results
   in
-  let perform k ~attempt = read_attempt t paddrs.(k) ~attempt deliver k in
-  let on_fail k reason ~attempts:_ = results.(k) <- Error reason in
-  let rounds = schedule t ~op:Trace.Read ~paddrs ~perform ~on_fail in
-  Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
+  Stats.add_read_round t.stats ~blocks:delivered ~rounds;
   results
 
 (* The sanitizer's read-only-view check: every image the last
    {!read_preferring} handed out must still equal its snapshot when
    the machine's next counted request starts. Off, nothing is
-   recorded and this is one field read. *)
+   recorded and this is one field read; on, the check allocates
+   nothing, so a request measures the same with the sanitizer on. *)
+let rec check_view_list t = function
+  | [] -> ()
+  | (a, image, snapshot) :: views ->
+    if image <> snapshot then
+      Sanitize.fail ~check:"read-only-view" ~round:t.rounds_done
+        (Printf.sprintf
+           "block %d.%d was modified after read_preferring handed it out \
+            read-only"
+           a.disk a.block);
+    check_view_list t views
+
 (* pdm-lint: domain local — machine state; every machine belongs to
    one shard, driven by that shard's single owning domain *)
 let check_views t =
@@ -533,15 +610,7 @@ let check_views t =
   | [] -> ()
   | views ->
     t.views <- [];
-    List.iter
-      (fun (a, image, snapshot) ->
-        if image <> snapshot then
-          Sanitize.fail ~check:"read-only-view" ~round:t.rounds_done
-            (Printf.sprintf
-               "block %d.%d was modified after read_preferring handed it \
-                out read-only"
-               a.disk a.block))
-      views
+    check_view_list t views
 
 (* Replica [j] is among a block's remaining candidates [mask]. *)
 let has mask j = mask land (1 lsl j) <> 0
@@ -576,7 +645,26 @@ let choose t a ~pref mask =
    terminal failure escape as a structured exception. Answer [i] is
    block [addrs.(i)]'s stored image itself (or the machine's one [empty]
    block for a never-written address); the answer array is the only one
-   the bookkeeping allocates, the rest lives in the workspace [ws]. *)
+   the bookkeeping allocates, the rest lives in the workspace [ws], and
+   the scheduler's callbacks are top-level functions over it. *)
+(* pdm-lint: domain local — the caller's answer array *)
+let deliver_candidate t ws results k payload =
+  results.(ws.pending.(k)) <-
+    (match payload with Some image -> image | None -> t.empty)
+
+let perform_candidate t ws results k ~attempt =
+  read_attempt ~deliver:deliver_candidate t ws results k ~attempt
+
+(* pdm-lint: domain local — the machine's workspace; one scheduler per simulation, never shared *)
+let fail_candidate t ws _ k reason ~attempts =
+  let i = ws.pending.(k) in
+  if ws.remaining.(i) = 0 then
+    raise_failure t ~disk:ws.pdisk.(k) ~block:ws.pblock.(k) reason attempts
+  else begin
+    ws.failed.(ws.nfailed) <- i;
+    ws.nfailed <- ws.nfailed + 1
+  end
+
 (* pdm-lint: domain local — down-disk mask and the machine's workspace on t, owned by the scheduler *)
 let read_candidates_on t ws addrs prefs =
   let n = Array.length addrs in
@@ -586,45 +674,36 @@ let read_candidates_on t ws addrs prefs =
     ws.pending <- Array.make len 0;
     ws.failed <- Array.make len 0
   end;
+  reserve ws n;
   let results = Array.make n t.empty in
   let remaining = ws.remaining and pending = ws.pending in
   let failed = ws.failed in
+  let pdisk = ws.pdisk and pblock = ws.pblock in
   let all = (1 lsl t.replicas) - 1 in
   for i = 0 to n - 1 do
     remaining.(i) <- all;
     pending.(i) <- i
   done;
-  let npending = ref n and nfailed = ref 0 in
-  let delivered = ref 0 in
-  let deliver k payload =
-    results.(pending.(k)) <-
-      (match payload with Some image -> image | None -> t.empty);
-    incr delivered
-  in
+  let npending = ref n in
   while !npending > 0 do
-    let paddrs = Array.make !npending addrs.(pending.(0)) in
     for k = 0 to !npending - 1 do
       let i = pending.(k) in
-      let j = choose t addrs.(i) ~pref:prefs.(i) remaining.(i) in
+      let a = addrs.(i) in
+      let j = choose t a ~pref:prefs.(i) remaining.(i) in
       remaining.(i) <- remaining.(i) land lnot (1 lsl j);
-      paddrs.(k) <- phys t addrs.(i) j
+      pdisk.(k) <- phys_disk t a j;
+      pblock.(k) <- phys_block t a j
     done;
-    nfailed := 0;
-    delivered := 0;
-    let perform k ~attempt = read_attempt t paddrs.(k) ~attempt deliver k in
-    let on_fail k reason ~attempts =
-      let i = pending.(k) in
-      if remaining.(i) = 0 then raise_failure t paddrs.(k) reason attempts
-      else begin
-        failed.(!nfailed) <- i;
-        incr nfailed
-      end
+    ws.nfailed <- 0;
+    let rounds =
+      schedule_on t ws ~op:Trace.Read ~n:!npending ~perform:perform_candidate
+        ~on_fail:fail_candidate results
     in
-    let rounds = schedule_on t ws ~op:Trace.Read ~paddrs ~perform ~on_fail in
-    Stats.add_read_round t.stats ~blocks:!delivered ~rounds;
-    npending := !nfailed;
-    for x = 0 to !nfailed - 1 do
-      pending.(x) <- failed.(!nfailed - 1 - x)
+    Stats.add_read_round t.stats ~blocks:ws.delivered ~rounds;
+    let nfailed = ws.nfailed in
+    npending := nfailed;
+    for x = 0 to nfailed - 1 do
+      pending.(x) <- failed.(nfailed - 1 - x)
     done
   done;
   results
@@ -773,39 +852,61 @@ let seal t slots =
   | Some itg -> apply_envelope t itg slots
 
 (* One write attempt of already-sealed data at a physical address, as
-   a scheduler transfer: [`Done] after [stored ()], or [`Fail] when the
-   disk is dead (the allocation counter left untouched). *)
+   a scheduler transfer: [`Done], or [`Fail] when the disk is dead (the
+   allocation counter left untouched). *)
 (* pdm-lint: domain local — allocation high-water mark and down-disk mask on t, owned by the scheduler *)
-let write_attempt t p data stored =
-  let bk = t.backends.(p.disk) in
-  let fresh = not (bk.Backend.exists p.block) in
-  match bk.Backend.write p.block data with
+let write_attempt t ~disk ~block data =
+  let bk = t.backends.(disk) in
+  let fresh = not (bk.Backend.exists block) in
+  match bk.Backend.write block data with
   | () ->
     if fresh then t.allocated <- t.allocated + 1;
-    stored ();
     `Done
   | exception Backend.Disk_failed _ ->
-    t.down.(p.disk) <- true;
+    t.down.(disk) <- true;
     `Fail R_lost
+
+let perform_phys_write t ws data k ~attempt:_ =
+  write_attempt t ~disk:ws.pdisk.(k) ~block:ws.pblock.(k) data
+
+let ignore_failure _ _ _ _ _ ~attempts:_ = ()
 
 (* Single-block counted write used by repair; false when the target
    disk turns out to be dead. *)
 (* pdm-lint: domain local — machine state; every machine belongs to
    one shard, driven by that shard's single owning domain *)
 let write_phys_one t p data =
-  let ok = ref false in
-  let perform _ ~attempt:_ = write_attempt t p data (fun () -> ok := true) in
-  let on_fail _ _ ~attempts:_ = () in
-  let rounds = schedule t ~op:Trace.Write ~paddrs:[| p |] ~perform ~on_fail in
-  Stats.add_write_round t.stats ~blocks:(if !ok then 1 else 0) ~rounds;
-  !ok
+  let rounds, delivered =
+    schedule t ~op:Trace.Write ~paddrs:[| p |] ~perform:perform_phys_write
+      ~on_fail:ignore_failure data
+  in
+  Stats.add_write_round t.stats ~blocks:delivered ~rounds;
+  delivered = 1
+
+(* A replica of logical block [i] failed for good: the write raises
+   once all of the block's replicas have. *)
+(* pdm-lint: domain local — the write's own failure counts *)
+let fail_replica t failed i ~disk ~block reason attempts =
+  failed.(i) <- failed.(i) + 1;
+  if failed.(i) >= t.replicas then
+    raise_failure t ~disk ~block reason attempts
+
+let perform_write t ws (sealed, _) k ~attempt:_ =
+  write_attempt t ~disk:ws.pdisk.(k) ~block:ws.pblock.(k)
+    sealed.(ws.owner.(k))
+
+let fail_write t ws (_, failed) k reason ~attempts =
+  fail_replica t failed ws.owner.(k) ~disk:ws.pdisk.(k) ~block:ws.pblock.(k)
+    reason attempts
 
 (* Replicated write: every logical block is sealed once and stored on
    all r of its replica disks in one request. A replica
    landing on a disk that is (or turns out to be) dead is skipped —
    the block survives as long as one replica is stored; only when all
-   r replicas fail does the write raise. *)
-(* pdm-lint: domain local — down-disk mask on t, owned by the scheduler *)
+   r replicas fail does the write raise. The replicas are laid out in
+   the workspace, block by block in replica order, each with its
+   owning block. *)
+(* pdm-lint: domain local — down-disk mask and the machine's workspace on t, owned by the scheduler *)
 let write t blocks =
   check_views t;
   let blocks = Array.of_list blocks in
@@ -820,42 +921,32 @@ let write t blocks =
   done;
   let sealed = Array.map (fun (_, slots) -> seal t slots) blocks in
   let failed = Array.make n 0 in
-  let fail_one i p reason attempts =
-    failed.(i) <- failed.(i) + 1;
-    if failed.(i) >= t.replicas then raise_failure t p reason attempts
-  in
-  (* The owning block and physical address of every replica, block by
-     block in replica order; replicas on disks already known down fail
-     without costing a round — there is nothing to schedule there *)
-  let width = n * t.replicas in
-  let owner = Array.make width 0 in
-  let paddrs = Array.make width { disk = 0; block = 0 } in
-  let targets = ref 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to t.replicas - 1 do
-      let p = phys t addrs.(i) j in
-      if t.down.(p.disk) then fail_one i p R_lost 0
-      else begin
-        owner.(!targets) <- i;
-        paddrs.(!targets) <- p;
-        incr targets
-      end
-    done
-  done;
-  let owner, paddrs =
-    if !targets = width then (owner, paddrs)
-    else (Array.sub owner 0 !targets, Array.sub paddrs 0 !targets)
-  in
-  let stored = ref 0 in
-  let note_stored () = incr stored in
-  let perform k ~attempt:_ =
-    write_attempt t paddrs.(k) sealed.(owner.(k)) note_stored
-  in
-  let on_fail k reason ~attempts =
-    fail_one owner.(k) paddrs.(k) reason attempts
-  in
-  let rounds = schedule t ~op:Trace.Write ~paddrs ~perform ~on_fail in
-  Stats.add_write_round t.stats ~blocks:!stored ~rounds
+  let ws = acquire t in
+  match
+    reserve ws (n * t.replicas);
+    (* replicas on disks already known down fail without costing a
+       round — there is nothing to schedule there *)
+    let targets = ref 0 in
+    for i = 0 to n - 1 do
+      for j = 0 to t.replicas - 1 do
+        let disk = phys_disk t addrs.(i) j
+        and block = phys_block t addrs.(i) j in
+        if t.down.(disk) then fail_replica t failed i ~disk ~block R_lost 0
+        else begin
+          ws.owner.(!targets) <- i;
+          ws.pdisk.(!targets) <- disk;
+          ws.pblock.(!targets) <- block;
+          incr targets
+        end
+      done
+    done;
+    schedule_on t ws ~op:Trace.Write ~n:!targets ~perform:perform_write
+      ~on_fail:fail_write (sealed, failed)
+  with
+  | rounds ->
+    ws.busy <- false;
+    Stats.add_write_round t.stats ~blocks:ws.delivered ~rounds
+  | exception e -> release ws e
 
 let write_one t a slots = write t [ (a, slots) ]
 

@@ -196,6 +196,11 @@ val replica_disk : 'a t -> addr -> int -> int
     the least-loaded healthy copy. [Invalid_argument] unless
     [0 <= j < replicas t]. *)
 
+val replica_disks : 'a t -> addr -> int array -> off:int -> unit
+(** [replica_disks t a dst ~off] writes {!replica_disk}[ t a j] into
+    [dst.(off + j)] for every replica [j]: a block's copies in one
+    call. *)
+
 val replica_addr : 'a t -> addr -> replica:int -> addr
 (** The physical address (disk and block) currently holding one
     replica of the logical block, following any repair-time
@@ -206,6 +211,13 @@ val block_number : 'a t -> addr -> int
     logical block's index in [\[0, disks t * blocks_per_disk t)], for
     callers that keep per-block state in an array. [Invalid_argument]
     for an address out of range, as {!replica_disk} raises. *)
+
+val block_numbers : 'a t -> addr array -> int array -> int
+(** [block_numbers t addrs dst] writes {!block_number}[ t addrs.(i)]
+    into [dst.(i)] for the longest prefix of [addrs] in range and
+    answers its length: a plan's block numbers in one call, leaving
+    the caller to raise for the first address out of range (through
+    {!block_number}) at the point where it reaches it. *)
 
 val read_preferring : 'a t -> addr array -> int array -> 'a option array array
 (** [read_preferring t addrs prefs] is {!read} with the replica choice
@@ -303,6 +315,11 @@ val disk_down : 'a t -> int -> bool
 (** Health cache: has this machine observed the disk dead? ([true]
     immediately after {!kill_disk}; a {!Fault}-failed disk turns
     [true] the first time a transfer finds it lost.) *)
+
+val disks_down : 'a t -> bool array -> unit
+(** [disks_down t dst] copies the health cache into [dst]:
+    [dst.(d) = disk_down t d] for every physical disk [d], in one call
+    ([dst] has at least {!physical_disks} entries). *)
 
 val damage_stored : 'a t -> addr -> replica:int -> unit
 (** Corrupt the stored bits of one replica in place (tests and

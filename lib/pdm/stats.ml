@@ -56,15 +56,26 @@ let add_write_round t ~blocks ~rounds =
   t.w_blocks <- t.w_blocks + blocks;
   t.w_rounds <- t.w_rounds + rounds
 
+(* Highest disk first, so the arrays grow at most once. *)
 (* pdm-lint: domain local — per-simulation I/O counters owned by the scheduler's domain *)
-let add_disk_read t ~disk ~blocks =
-  ensure t disk;
-  t.d_reads.(disk) <- t.d_reads.(disk) + blocks
+let add_disk_reads t per_disk =
+  for d = Array.length per_disk - 1 downto 0 do
+    let n = per_disk.(d) in
+    if n > 0 then begin
+      ensure t d;
+      t.d_reads.(d) <- t.d_reads.(d) + n
+    end
+  done
 
 (* pdm-lint: domain local — per-simulation I/O counters owned by the scheduler's domain *)
-let add_disk_write t ~disk ~blocks =
-  ensure t disk;
-  t.d_writes.(disk) <- t.d_writes.(disk) + blocks
+let add_disk_writes t per_disk =
+  for d = Array.length per_disk - 1 downto 0 do
+    let n = per_disk.(d) in
+    if n > 0 then begin
+      ensure t d;
+      t.d_writes.(d) <- t.d_writes.(d) + n
+    end
+  done
 
 let snapshot t =
   { parallel_reads = t.r_rounds;

@@ -33,12 +33,14 @@ val add_read_round : t -> blocks:int -> rounds:int -> unit
 
 val add_write_round : t -> blocks:int -> rounds:int -> unit
 
-val add_disk_read : t -> disk:int -> blocks:int -> unit
-(** Attribute [blocks] read blocks to one disk. The per-disk arrays
-    grow on demand, so one stats object can serve machines of
-    different widths. *)
+val add_disk_reads : t -> int array -> unit
+(** [add_disk_reads t per_disk] attributes [per_disk.(d)] read blocks
+    to every disk [d] with a positive count: a round's per-disk charge
+    in one call. The per-disk arrays grow on demand, up to the highest
+    disk charged, so one stats object can serve machines of different
+    widths. *)
 
-val add_disk_write : t -> disk:int -> blocks:int -> unit
+val add_disk_writes : t -> int array -> unit
 
 val snapshot : t -> snapshot
 

@@ -211,15 +211,15 @@ let prop_field_round_trip =
       let fields =
         Field_codec.encode_a ~field_bits ~indices ~satellite ~sigma_bits
       in
-      let get i = List.assoc_opt i fields in
+      let v = Field_views.of_encoded ~field_bits fields in
       let head = List.hd indices in
       let want =
         ref_bytes_of_words
           (ref_words_of_bits satellite ~nbits:sigma_bits)
           ~nbits:sigma_bits
       in
-      Field_codec.decode_a ~field_bits ~head ~sigma_bits get = Some want
-      && Field_codec.indices_a ~field_bits ~head get = Some indices)
+      Field_codec.decode_a ~field_bits ~head ~sigma_bits v = Some want
+      && Field_codec.indices_a ~field_bits ~head v = Some indices)
 
 let suite =
   [ ("codec.byte_level",

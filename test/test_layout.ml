@@ -136,13 +136,14 @@ let test_field_store_groups () =
   in
   Alcotest.(check int) "two groups" 2 (Field_store.groups fs);
   let content k i =
-    Bytes.init 13 (fun j -> Char.chr ((k + (7 * i) + (3 * j)) land 0xff))
+    Pdm_dictionary.Codec.words_of_bytes
+      (Bytes.init 13 (fun j -> Char.chr ((k + (7 * i) + (3 * j)) land 0xff)))
   in
-  let masked b =
+  let masked w =
     (* bits past field_bits read back as zero *)
-    let b = Bytes.copy b in
-    Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) land 0xf0));
-    Bytes.to_string b
+    let w = Array.copy w in
+    w.(3) <- w.(3) land 0xf000_0000;
+    w
   in
   let keys = Sampling.distinct (Prng.create 8) ~universe ~count:12 in
   let plan = Field_store.plan_blocks fs in
@@ -169,10 +170,11 @@ let test_field_store_groups () =
   let k = keys.(Array.length keys - 1) in
   let images, off = read k in
   for i = 0 to d - 1 do
-    Alcotest.(check (option string))
+    Alcotest.(check (option (array int)))
       (Printf.sprintf "neighbor %d" i)
       (if i mod 2 = 1 then None else Some (masked (content k i)))
-      (Option.map Bytes.to_string (Field_store.neighbor_field fs images ~off k i))
+      (Pdm_dictionary.Field_codec.field ~field_bits
+         (Field_store.view fs images ~off k) i)
   done
 
 let test_one_probe_static_groups () =

@@ -15,4 +15,5 @@ let () =
         Test_fault_trace.suite; Test_repair.suite; Test_engine.suite;
         Test_lint.suite; Test_sim.suite; Test_cluster.suite;
         Test_chaos.suite; Test_io.suite; Test_server.suite;
-        Test_read_path.suite; Test_bit_codec.suite; Test_layout.suite ])
+        Test_read_path.suite; Test_bit_codec.suite; Test_field_words.suite;
+        Test_layout.suite ])

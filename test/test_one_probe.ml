@@ -29,21 +29,24 @@ let mk_store ?(u = 10_000) ?(v = 240) ?(d = 8) ?(field_bits = 40)
   in
   (machine, fs)
 
+(* A field's words: four bytes [tag + i] per word, most significant
+   first. *)
 let field_value tag fs =
-  let len = (Field_store.field_bits fs + 7) / 8 in
-  Bytes.init len (fun i -> Char.chr ((tag + i) land 0xff))
+  Array.init (Field_store.field_words fs) (fun w ->
+      List.fold_left
+        (fun acc j -> (acc lsl 8) lor ((tag + (4 * w) + j) land 0xff))
+        0 [ 0; 1; 2; 3 ])
 
-let mask_last_bits fs b =
+let mask_last_bits fs words =
   (* Bits beyond field_bits come back as zero; zero them for compare. *)
   let bits = Field_store.field_bits fs in
-  let out = Bytes.copy b in
-  let total = 8 * Bytes.length b in
-  for i = bits to total - 1 do
-    let byte = i lsr 3 and off = i land 7 in
-    Bytes.set out byte
-      (Char.chr (Char.code (Bytes.get out byte) land lnot (0x80 lsr off) land 0xff))
-  done;
-  out
+  Array.mapi
+    (fun w x ->
+      let valid = bits - (32 * w) in
+      if valid >= 32 then x else x land (((1 lsl valid) - 1) lsl (32 - valid)))
+    words
+
+let check_words = Alcotest.(check (array int))
 
 let test_fs_write_read () =
   let _, fs = mk_store () in
@@ -51,8 +54,8 @@ let test_fs_write_read () =
   Field_store.write_fields fs [ (0, Some v0); (100, Some v1) ];
   (match Field_store.read_fields fs [ 0; 100; 7 ] with
    | [ (0, Some a); (100, Some b); (7, None) ] ->
-     Alcotest.(check string) "field 0" (Bytes.to_string (mask_last_bits fs v0)) (Bytes.to_string a);
-     Alcotest.(check string) "field 100" (Bytes.to_string (mask_last_bits fs v1)) (Bytes.to_string b)
+     check_words "field 0" (mask_last_bits fs v0) a;
+     check_words "field 100" (mask_last_bits fs v1) b
    | _ -> Alcotest.fail "unexpected read_fields result")
 
 let test_fs_clear () =
@@ -89,8 +92,8 @@ let test_fs_preserves_block_sharing () =
   Field_store.write_fields fs [ (1, Some b) ];
   match Field_store.read_fields fs [ 0; 1 ] with
   | [ (0, Some x); (1, Some y) ] ->
-    Alcotest.(check string) "a survived" (Bytes.to_string (mask_last_bits fs a)) (Bytes.to_string x);
-    Alcotest.(check string) "b written" (Bytes.to_string (mask_last_bits fs b)) (Bytes.to_string y)
+    check_words "a survived" (mask_last_bits fs a) x;
+    check_words "b written" (mask_last_bits fs b) y
   | _ -> Alcotest.fail "sharing broken"
 
 let test_fs_bulk_write () =
@@ -124,8 +127,8 @@ let test_codec_b_roundtrip () =
       ~indices
   in
   check "four fields" 4 (List.length enc);
-  let get i = List.assoc_opt i enc in
-  match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d get with
+  let v = Field_views.of_encoded ~field_bits ~fields:d enc in
+  match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d v with
   | Some (id, merged) ->
     check "id" 513 id;
     Alcotest.(check string) "satellite" "IOdictAB" (Bytes.to_string merged)
@@ -139,9 +142,9 @@ let test_codec_b_no_majority () =
     Field_codec.encode_b ~field_bits ~id_bits ~id:7 ~satellite ~sigma_bits
       ~indices:[ 0; 1; 2 ]
   in
-  let get i = List.assoc_opt i enc in
+  let v = Field_views.of_encoded ~field_bits ~fields:d enc in
   checkb "no majority -> None" true
-    (Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d get = None)
+    (Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d v = None)
 
 let test_codec_b_mixed_ids () =
   (* A majority id wins even when other fields hold a different id. *)
@@ -155,8 +158,8 @@ let test_codec_b_mixed_ids () =
       ~sigma_bits:16 ~indices:[ 1; 6 ]
   in
   let all = own @ other in
-  let get i = List.assoc_opt i all in
-  match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d get with
+  let v = Field_views.of_encoded ~field_bits ~fields:d all in
+  match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d v with
   | Some (id, merged) ->
     check "majority id" 11 id;
     Alcotest.(check string) "clean merge" "ABCD" (Bytes.to_string merged)
@@ -178,8 +181,8 @@ let test_codec_a_roundtrip () =
   let satellite = Bytes.of_string "twelve bytes" in
   let indices = [ 0; 2; 3; 7 ] in
   let enc = Field_codec.encode_a ~field_bits ~indices ~satellite ~sigma_bits in
-  let get i = List.assoc_opt i enc in
-  match Field_codec.decode_a ~field_bits ~head:0 ~sigma_bits get with
+  let v = Field_views.of_encoded ~field_bits enc in
+  match Field_codec.decode_a ~field_bits ~head:0 ~sigma_bits v with
   | Some merged ->
     Alcotest.(check string) "satellite" "twelve bytes" (Bytes.to_string merged)
   | None -> Alcotest.fail "decode_a failed"
@@ -197,11 +200,14 @@ let test_codec_a_missing_field () =
       ~satellite:(Bytes.of_string "IOdictAB") ~sigma_bits
   in
   (* Drop the tail field: decode must fail gracefully. *)
-  let get i = if i = 1 then List.assoc_opt i enc else None in
+  let v =
+    Field_views.of_encoded ~field_bits ~fields:5
+      (List.filter (fun (i, _) -> i = 1) enc)
+  in
   checkb "missing tail" true
-    (Field_codec.decode_a ~field_bits ~head:1 ~sigma_bits get = None);
+    (Field_codec.decode_a ~field_bits ~head:1 ~sigma_bits v = None);
   checkb "missing head" true
-    (Field_codec.decode_a ~field_bits ~head:4 ~sigma_bits get = None)
+    (Field_codec.decode_a ~field_bits ~head:4 ~sigma_bits v = None)
 
 let test_codec_a_single_field () =
   let enc =
@@ -209,8 +215,8 @@ let test_codec_a_single_field () =
       ~satellite:(Bytes.of_string "ab") ~sigma_bits:16
   in
   check "one field" 1 (List.length enc);
-  let get i = List.assoc_opt i enc in
-  match Field_codec.decode_a ~field_bits:20 ~head:5 ~sigma_bits:16 get with
+  let v = Field_views.of_encoded ~field_bits:20 enc in
+  match Field_codec.decode_a ~field_bits:20 ~head:5 ~sigma_bits:16 v with
   | Some b -> Alcotest.(check string) "payload" "ab" (Bytes.to_string b)
   | None -> Alcotest.fail "single-field decode failed"
 
@@ -241,8 +247,8 @@ let prop_codec_a_random =
         Field_codec.encode_a ~field_bits ~indices
           ~satellite:(Bytes.of_string payload) ~sigma_bits
       in
-      let get i = List.assoc_opt i enc in
-      Field_codec.decode_a ~field_bits ~head:(List.hd indices) ~sigma_bits get
+      let v = Field_views.of_encoded ~field_bits ~fields:d enc in
+      Field_codec.decode_a ~field_bits ~head:(List.hd indices) ~sigma_bits v
       = Some (Bytes.of_string payload))
 
 (* --- One_probe_static --- *)

@@ -29,8 +29,8 @@ let prop_codec_b_random =
         (* capacity genuinely short for this draw *)
         count * (field_bits - id_bits) < sigma_bits
       | enc ->
-        let get i = List.assoc_opt i enc in
-        (match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d get with
+        let v = Field_views.of_encoded ~field_bits ~fields:d enc in
+        (match Field_codec.decode_b ~field_bits ~id_bits ~sigma_bits ~d v with
          | Some (id', merged) ->
            id' = id && Bytes.to_string merged = payload
          | None -> false))

@@ -107,9 +107,7 @@ let schedule r ~op ~(paddrs : Pdm.addr array) ~perform ~on_fail =
     Trace.record r.trace
       { Trace.round = round_id; op; per_disk; retries = !retries;
         degraded = !degraded; shard = Trace.shard r.trace; attempt = 0 };
-    Array.iteri
-      (fun d n -> if n > 0 then Stats.add_disk_read (Pdm.stats m) ~disk:d ~blocks:n)
-      per_disk
+    Stats.add_disk_reads (Pdm.stats m) per_disk
   done;
   !rounds_used
 
@@ -504,14 +502,15 @@ let daemon_shard () =
   List.iter (fun k -> Opd.insert sh.Shard.dict k (Bytes.make 8 'x')) keys;
   (sh, keys)
 
-(* Budgets are measured words plus 10%. read_one, probe_addresses and
-   find_in were measured when probe plans became positional (plans and
-   answers in arrays, engine batches on slots); with address lists they
-   took 104, 435 and 292 words. The read of 15 blocks and Engine.run
-   were measured once engine batches took their slots from an index by
-   block number and the read path its bookkeeping from the machine's
-   workspace: before, they took 230 and 9,934 words (with address
-   lists, 381 and 29,540). *)
+(* Budgets are measured words plus 10%. probe_addresses was measured
+   when probe plans became positional (plans and answers in arrays,
+   engine batches on slots); with address lists it took 435 words. The
+   reads, the write, find_in and Engine.run were measured once fields
+   decoded straight from their cells and the read path's transfers,
+   callbacks and memory disks stopped allocating per block: before,
+   read_preferring of 15 blocks took 92 words, Pdm.read of them 602,
+   read_one 79, the write 124, find_in 126 and Engine.run 6,890 (with
+   address lists, 381, 811, 104, 353, 292 and 29,540). *)
 let within_budget what ~measured words =
   let budget = measured * 11 / 10 in
   if words > budget then
@@ -524,11 +523,11 @@ let test_read_preferring_budget () =
   Alcotest.(check int) "one lookup's blocks" 15 (Array.length addrs);
   let prefs = Array.make 15 0 in
   ignore (Pdm.read_preferring m addrs prefs);
-  within_budget "read_preferring of 15 blocks" ~measured:92
+  within_budget "read_preferring of 15 blocks" ~measured:16
     (minor_words (fun () -> Pdm.read_preferring m addrs prefs))
 
 (* The same 15 blocks through the copying read: one fresh copy per
-   block (33 words each) on top of read_preferring's bookkeeping.
+   block (33 words each) on top of read_preferring's answer array.
    Deduplicated through a hash table and answered as an association
    list, it took 811 words. *)
 let test_read_budget () =
@@ -536,7 +535,7 @@ let test_read_budget () =
   let m = Opd.machine sh.Shard.dict in
   let addrs = Opd.probe_addresses sh.Shard.dict (List.nth keys 17) in
   ignore (Pdm.read m addrs);
-  within_budget "Pdm.read of 15 blocks" ~measured:602
+  within_budget "Pdm.read of 15 blocks" ~measured:527
     (minor_words (fun () -> Pdm.read m addrs))
 
 let test_read_one_budget () =
@@ -544,7 +543,7 @@ let test_read_one_budget () =
   let a = { Pdm.disk = 1; block = 3 } in
   Pdm.write_one m a (Array.make 32 (Some 5));
   ignore (Pdm.read_one m a);
-  within_budget "read_one" ~measured:79 (minor_words (fun () -> Pdm.read_one m a))
+  within_budget "read_one" ~measured:39 (minor_words (fun () -> Pdm.read_one m a))
 
 let test_engine_run_budget () =
   let sh, keys = daemon_shard () in
@@ -552,7 +551,7 @@ let test_engine_run_budget () =
     List.filteri (fun i _ -> i < 16) keys |> List.map (fun k -> Engine.Lookup k)
   in
   ignore (Engine.run sh.Shard.engine lookups);
-  within_budget "Engine.run of 16 lookups" ~measured:6_890
+  within_budget "Engine.run of 16 lookups" ~measured:4_129
     (minor_words (fun () -> Engine.run sh.Shard.engine lookups))
 
 (* Routing one key on the daemon's 4-shard topology: one pass over
@@ -565,9 +564,9 @@ let test_primary_budget () =
   within_budget "Placement.primary" ~measured:6 (minor_words primary)
 
 (* A write of 4 blocks on 2 replicas: the blocks and their addresses in
-   arrays, one sealed image each, the targets built in one pass. With a
-   hash table to reject duplicates and the targets built through lists
-   it took 353 words. *)
+   arrays, one sealed image each, the targets laid out in the machine's
+   workspace. With a hash table to reject duplicates and the targets
+   built through lists it took 353 words. *)
 let test_write_budget () =
   let m : int Pdm.t =
     Pdm.create ~replicas:2 ~disks:8 ~block_size:4 ~blocks_per_disk:8 ()
@@ -576,7 +575,7 @@ let test_write_budget () =
     List.init 4 (fun i -> ({ Pdm.disk = 2 * i; block = i }, Array.make 4 (Some i)))
   in
   Pdm.write m blocks;
-  within_budget "write of 4 blocks, 2 replicas" ~measured:124
+  within_budget "write of 4 blocks, 2 replicas" ~measured:85
     (minor_words (fun () -> Pdm.write m blocks))
 
 (* Planning and decoding one daemon lookup, outside the engine. *)
@@ -589,8 +588,50 @@ let test_probe_plan_budget () =
   Alcotest.(check bool) "the key is found" true (Opd.find_in d key blocks <> None);
   within_budget "probe_addresses" ~measured:61
     (minor_words (fun () -> Opd.probe_addresses d key));
-  within_budget "find_in" ~measured:126
+  within_budget "find_in" ~measured:45
     (minor_words (fun () -> Opd.find_in d key blocks))
+
+(* Rewriting a present key in place: the one read round of its plan,
+   the satellite re-encoded into its fields and one combined write
+   round. *)
+let test_insert_present_budget () =
+  let sh, keys = daemon_shard () in
+  let d = sh.Shard.dict in
+  let key = List.nth keys 17 and value = Bytes.make 8 'y' in
+  Opd.insert d key value;
+  within_budget "Opd.insert of a present key" ~measured:637
+    (minor_words (fun () -> Opd.insert d key value))
+
+(* A membership lookup (Leveled's shape: 32-word blocks, two-byte
+   values) scanning an 8-block plan. With a recursive closure per
+   block scanned it took 38 words for a present key and 64 for an
+   absent one. *)
+let test_basic_find_budget () =
+  let module Basic = Pdm_dictionary.Basic_dict in
+  let cfg =
+    Basic.plan ~universe:(1 lsl 20) ~capacity:1024 ~block_words:32 ~degree:8
+      ~value_bytes:2 ~seed:5 ()
+  in
+  let m : int Pdm.t =
+    Pdm.create ~disks:8 ~block_size:32
+      ~blocks_per_disk:(Basic.blocks_per_disk cfg) ()
+  in
+  let b = Basic.create ~machine:m ~disk_offset:0 ~block_offset:0 cfg in
+  for i = 0 to 299 do
+    Basic.insert b ((i * 3001) + 7) (Bytes.make 2 'v')
+  done;
+  let present = (17 * 3001) + 7 and absent = 12_345 in
+  let plan key = Pdm.read_views m (Basic.addresses b key) in
+  let bp = plan present and ba = plan absent in
+  Alcotest.(check int) "an 8-block plan" 8 (Basic.plan_blocks b);
+  Alcotest.(check bool) "present is found" true
+    (Basic.find_in b present bp ~off:0 <> None);
+  Alcotest.(check bool) "absent is not" true
+    (Basic.find_in b absent ba ~off:0 = None);
+  within_budget "Basic_dict.find_in, present" ~measured:18
+    (minor_words (fun () -> Basic.find_in b present bp ~off:0));
+  within_budget "Basic_dict.find_in, absent" ~measured:0
+    (minor_words (fun () -> Basic.find_in b absent ba ~off:0))
 
 (* One file-backed transfer of a full 32-slot block (the daemon's block
    size). A read allocates the payload the Backend contract requires —
@@ -635,4 +676,7 @@ let suite =
        tc "write, 4 blocks on 2 replicas" `Quick test_write_budget;
        tc "File_backend read, one full block" `Quick test_file_read_budget;
        tc "File_backend write, one full block" `Quick test_file_write_budget;
-       tc "Pdm.read of 15 blocks" `Quick test_read_budget ]) ]
+       tc "Pdm.read of 15 blocks" `Quick test_read_budget;
+       tc "Opd.insert, present key" `Quick test_insert_present_budget;
+       tc "Basic_dict.find_in, membership plan" `Quick test_basic_find_budget ])
+  ]
